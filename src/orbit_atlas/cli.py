@@ -16,7 +16,6 @@ default validation tolerance; an explicit --tol wins over both.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -249,9 +248,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (json.JSONDecodeError, KeyError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

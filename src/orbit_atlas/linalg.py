@@ -1,9 +1,9 @@
 """Dense complex-matrix foundation.
 
-Hermitian eigendecomposition, trace invariants, density-matrix validation
-and convex combination.  Matrices are plain ``numpy.ndarray`` objects of
-dtype complex128; everything here is a pure function over immutable values,
-so the module is safe for concurrent use.
+Every eigensolve of the package, the positivity rule, trace invariants,
+density-matrix validation and convex combination.  Matrices are plain
+``numpy.ndarray`` objects of dtype complex128; everything here is a pure
+function over immutable values, so the module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .exceptions import (
     NotPositiveSemidefinite,
     NotUnitTrace,
     ParameterOutOfRange,
+    ValidationError,
 )
 
 #: Default validation tolerance.  Well above double-precision eigensolver
@@ -34,13 +35,15 @@ EIG_RESIDUAL_FACTOR = 1e-10
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a square complex128 array (copy, C-contiguous)."""
+    """Coerce input to a finite square complex128 array (copy, C-contiguous)."""
     m = np.array(matrix, dtype=np.complex128, order="C")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
         raise DimensionOutOfRange(
             f"matrix dimension {m.shape[0]} outside [1, {MAX_DIM}]")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has a non-finite (NaN or infinite) entry")
     return m
 
 
@@ -92,21 +95,27 @@ def hermitian_eigensystem(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors, residual=residual)
 
 
+def positivity_test(matrices, tol: float = DEFAULT_TOL):
+    """``(physical, spectra)`` of one Hermitian n x n matrix or a stack: the
+    ascending eigenvalues, and whether the smallest is >= -tol * n."""
+    spectra = np.linalg.eigvalsh(matrices)
+    return spectra[..., 0] >= -tol * spectra.shape[-1], spectra
+
+
 class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     Construction checks all three invariants against ``tol`` and raises the
-    matching exception naming the violated invariant.  The stored array is
-    made read-only; instances are immutable and shareable across threads.
+    matching exception naming the violated invariant.  The spectrum is solved
+    once and kept; both arrays are read-only, so instances are immutable.
     """
 
-    __slots__ = ("_matrix", "_tol")
+    __slots__ = ("_matrix", "_spectrum", "_tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         if tol < 0:
             raise ParameterOutOfRange(f"tolerance must be nonnegative, got {tol}")
         m = as_complex_matrix(matrix)
-        n = m.shape[0]
         defect = hermiticity_defect(m)
         if defect > tol:
             raise NotHermitian(
@@ -115,13 +124,15 @@ class DensityMatrix:
         if trace_dev > tol:
             raise NotUnitTrace(
                 f"unit trace violated: |Tr(M) - 1| = {trace_dev:.3e} > {tol:.3e}")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -tol * n:
+        physical, ascending = positivity_test(m, tol)
+        if not physical:
             raise NotPositiveSemidefinite(
-                f"positivity violated: smallest eigenvalue {smallest:.3e} < "
-                f"{-tol * n:.3e}")
+                f"positivity violated: smallest eigenvalue {ascending[0]:.3e} < "
+                f"{-tol * m.shape[0]:.3e}")
         m.setflags(write=False)
+        ascending.setflags(write=False)
         self._matrix = m
+        self._spectrum = ascending[::-1]
         self._tol = float(tol)
 
     @property
@@ -138,8 +149,8 @@ class DensityMatrix:
         return self._tol
 
     def eigenvalues(self) -> np.ndarray:
-        """Real spectrum sorted nonincreasing."""
-        return np.linalg.eigvalsh(self._matrix)[::-1].copy()
+        """Real spectrum sorted nonincreasing (a writable copy)."""
+        return self._spectrum.copy()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DensityMatrix(dim={self.dim}, tol={self._tol})"

@@ -10,7 +10,6 @@ spectra by majorization and computes von Neumann entropy (natural log).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -63,23 +62,29 @@ def _classify(n: int, values: tuple, mults: tuple,
     return StateClass.OTHER_DEGENERATE
 
 
+def cluster_spectrum(values, tol: float) -> list[list[float]]:
+    """Single-linkage clusters of the values sorted nonincreasing: a new
+    cluster (a list of floats) starts wherever a gap exceeds ``tol``."""
+    w = sorted(np.asarray(values, dtype=float).tolist(), reverse=True)
+    clusters = [[w[0]]]
+    for x in w[1:]:
+        if clusters[-1][-1] - x <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return clusters
+
+
 def orbit_signature(rho: DensityMatrix,
                     cluster_tol: float = DEFAULT_CLUSTER_TOL) -> OrbitSignature:
     """Cluster the spectrum into degeneracy groups.
 
-    Single-linkage merging on the nonincreasingly sorted eigenvalues: a new
-    cluster starts whenever the gap to the previous eigenvalue exceeds
-    ``cluster_tol``.  Raises AmbiguousClustering when two resulting cluster
-    means are within ``2 * cluster_tol``, i.e. the input is tolerance
-    sensitive.
+    ``cluster_spectrum`` of the eigenvalues at ``cluster_tol``.  Raises
+    AmbiguousClustering when the result is tolerance sensitive: two cluster
+    means within ``2 * cluster_tol``, or one cluster wider (largest member
+    minus smallest) than ``cluster_tol``, i.e. single linkage chained it.
     """
-    w = rho.eigenvalues()
-    clusters = [[float(w[0])]]
-    for x in w[1:]:
-        if clusters[-1][-1] - float(x) <= cluster_tol:
-            clusters[-1].append(float(x))
-        else:
-            clusters.append([float(x)])
+    clusters = cluster_spectrum(rho.eigenvalues(), cluster_tol)
     values = tuple(float(np.mean(c)) for c in clusters)
     mults = tuple(len(c) for c in clusters)
     for a, b in zip(values, values[1:]):
@@ -87,6 +92,10 @@ def orbit_signature(rho: DensityMatrix,
             raise AmbiguousClustering(
                 f"cluster means {a} and {b} are within 2*cluster_tol="
                 f"{2.0 * cluster_tol}")
+    spread = max(c[0] - c[-1] for c in clusters)
+    if spread > cluster_tol:
+        raise AmbiguousClustering(
+            f"a cluster spreads over {spread:.3e} > cluster_tol={cluster_tol}")
     return OrbitSignature(
         dim=rho.dim, distinct_values=values, multiplicities=mults,
         cluster_tol=cluster_tol,
@@ -205,8 +214,3 @@ def enumerate_orbit_table(n: int) -> list[OrbitTableRow]:
     ]
     rows.sort(key=lambda row: (row.dimension, row.partition))
     return rows
-
-
-def max_entropy(n: int) -> float:
-    """Upper bound log(n) attained by the maximally mixed state."""
-    return math.log(n)

@@ -23,8 +23,8 @@ from math import sqrt
 
 import numpy as np
 
-from .exceptions import DimensionOutOfRange, LengthMismatch
-from .linalg import DEFAULT_TOL, DensityMatrix
+from .exceptions import DimensionOutOfRange, LengthMismatch, ValidationError
+from .linalg import DEFAULT_TOL, DensityMatrix, positivity_test
 
 MIN_BASIS_DIM = 2
 MAX_BASIS_DIM = 16
@@ -64,6 +64,8 @@ class CoherenceVector:
             raise LengthMismatch(
                 f"expected {expected} components for dim {self.dim}, "
                 f"got shape {comps.shape}")
+        if not np.isfinite(comps).all():
+            raise ValidationError("coherence vector has a non-finite component")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
@@ -147,14 +149,10 @@ def from_coherence_vector(vec: CoherenceVector) -> np.ndarray:
 
 def is_physical_vector(vec: CoherenceVector,
                        tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Test positivity of the reconstructed matrix.
-
-    Returns ``(physical, min_eigenvalue)``; physical means the smallest
-    eigenvalue is >= -tol * n.
-    """
-    m = from_coherence_vector(vec)
-    smallest = float(np.linalg.eigvalsh(m)[0])
-    return smallest >= -tol * vec.dim, smallest
+    """``(physical, min_eigenvalue)`` of the reconstructed matrix under the
+    positivity rule of ``linalg.positivity_test`` (smallest >= -tol * n)."""
+    physical, spectrum = positivity_test(from_coherence_vector(vec), tol)
+    return bool(physical), float(spectrum[0])
 
 
 def convert_convention(vec: CoherenceVector,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterOutOfRange
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, positivity_test
 from .orbits import entropy_of_spectrum
 from .pauli import basis_stack
 
@@ -262,5 +262,4 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     vecs = g * (radius / norms)[:, None]
     mats = np.eye(n, dtype=np.complex128) / n + np.tensordot(
         vecs, basis_stack(n), axes=(1, 0))
-    smallest = np.linalg.eigvalsh(mats)[:, 0]
-    return float(np.mean(smallest >= -tol * n))
+    return float(np.mean(positivity_test(mats, tol)[0]))

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import LengthMismatch, NotNormalized, OddDimension
-from .linalg import _as_rng, as_complex_matrix
+from .linalg import _as_rng, as_complex_matrix, hermitian_eigensystem
+from .orbits import cluster_spectrum
 
 _GROUP_TOL = 1e-12
 
@@ -78,7 +78,7 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     A complex Gaussian matrix is projected onto the Lie algebra
     {X anti-Hermitian, X^T J + J X = 0}, i.e. block form
     [[A, B], [-conj(B), conj(A)]] with A anti-Hermitian and B symmetric,
-    and exponentiated (scaling-and-squaring Pade).
+    and exponentiated as V diag(exp(iw)) V^dag from eigh of -iX (n <= 32).
     """
     if n < 1:
         raise OddDimension(f"half-dimension must be >= 1, got {n}")
@@ -89,7 +89,8 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     a = (a - a.conj().T) / 2.0
     b = (b + b.T) / 2.0
     x = np.block([[a, b], [-b.conj(), a.conj()]])
-    return scipy.linalg.expm(x)
+    w, v, _ = hermitian_eigensystem(-1j * x)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 class SpRuleKind(enum.Enum):
@@ -127,17 +128,6 @@ class SpOrbitReport:
         return any(r.exact and r.bound == self.min_bound for r in self.rules)
 
 
-def _cluster_multiplicities(values, tol: float) -> list[int]:
-    ordered = np.sort(np.asarray(values, dtype=float))[::-1]
-    mults = [1]
-    for prev, cur in zip(ordered, ordered[1:]):
-        if prev - cur <= tol:
-            mults[-1] += 1
-        else:
-            mults.append(1)
-    return mults
-
-
 def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
     """Dimension bounds for the Sp(n) orbit of diag(d1, ..., d_2n).
 
@@ -154,7 +144,7 @@ def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
     n = d.shape[0] // 2
     dim = 2 * n
 
-    mults = _cluster_multiplicities(d, tol)
+    mults = [len(c) for c in cluster_spectrum(d, tol)]
     unitary_dim = dim * dim - sum(m * m for m in mults)
     uniform = len(mults) == 1
     pseudo_pure = len(mults) == 2 and sorted(mults) == [1, dim - 1]

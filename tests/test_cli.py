@@ -67,6 +67,29 @@ class TestClassify:
         res = run_cli("classify", "--input", str(f))
         assert res.returncode == 2
 
+    def test_missing_re_exits_2(self, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"dim": 2, "im": [[0, 0], [0, 0]]}))
+        res = run_cli("classify", "--input", str(f))
+        assert res.returncode == 2
+        assert 'missing "re"' in res.stderr
+
+    def test_nan_entry_exits_3(self, tmp_path):
+        m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        m[0, 1] = m[1, 0] = math.nan
+        res = run_cli("classify", "--input", write_matrix(tmp_path / "m.json", m))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "non-finite" in res.stderr
+
+    def test_inf_entry_exits_3(self, tmp_path):
+        m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        m[0, 1] = m[1, 0] = math.inf
+        res = run_cli("classify", "--input", write_matrix(tmp_path / "m.json", m))
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "non-finite" in res.stderr
+
     def test_unknown_flag_rejected(self, tmp_path):
         f = write_matrix(tmp_path / "m.json", np.eye(2) / 2)
         res = run_cli("classify", "--input", f, "--frobnicate")
@@ -124,6 +147,25 @@ class TestBloch:
         obj = json.loads(res.stdout)
         assert obj["physical"] is False
         assert obj["min_eigenvalue"] < -1e-6
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_check_non_finite_vector_exits_3(self, tmp_path, bad):
+        comps = [0.0] * 8
+        comps[3] = bad
+        f = tmp_path / "v.json"
+        f.write_text(json.dumps(
+            {"dim": 3, "convention": "coherence", "components": comps}))
+        res = run_cli("bloch", "--input", str(f), "--to-matrix", "--check")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "non-finite" in res.stderr
+
+    def test_missing_components_exits_2(self, tmp_path):
+        f = tmp_path / "v.json"
+        f.write_text(json.dumps({"dim": 2, "convention": "coherence"}))
+        res = run_cli("bloch", "--input", str(f), "--to-matrix")
+        assert res.returncode == 2
+        assert 'missing "components"' in res.stderr
 
     def test_bloch_convention_output(self, tmp_path):
         f = write_matrix(tmp_path / "m.json", np.diag([1.0, 0.0]))

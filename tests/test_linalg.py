@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from orbit_atlas import (
     NotPositiveSemidefinite,
     NotUnitTrace,
     ParameterOutOfRange,
+    ValidationError,
+    cli,
     convex_path,
     hermitian_eigensystem,
     purity,
@@ -16,6 +20,7 @@ from orbit_atlas import (
     trace_invariants,
     unitarily_equivalent,
 )
+from orbit_atlas.linalg import positivity_test
 
 
 def charpoly_roots_by_bisection(h, n_roots, lo=None, hi=None, tol=1e-12):
@@ -103,6 +108,19 @@ class TestDensityMatrixValidation:
         with pytest.raises(NotPositiveSemidefinite, match="positivity"):
             DensityMatrix(np.diag([1.2, -0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entry(self, bad):
+        m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix(m)
+
+    def test_eigenvalues_returns_a_copy_of_the_stored_spectrum(self):
+        rho = DensityMatrix(np.diag([0.2, 0.5, 0.3]))
+        w = rho.eigenvalues()
+        w[0] = 7.0
+        assert rho.eigenvalues().tolist() == [0.5, 0.3, 0.2]
+
     def test_eigenvalue_range_and_sum(self):
         rng = np.random.default_rng(3)
         for n in (2, 3, 4, 6):
@@ -113,6 +131,24 @@ class TestDensityMatrixValidation:
                 assert w.min() >= -tol * n
                 assert w.max() <= 1.0 + tol
                 assert abs(w.sum() - 1.0) <= n * tol
+
+
+class TestPositivityTest:
+    def test_stack_agrees_with_single_matrices(self):
+        mats = np.stack([np.diag([0.5, 0.5]), np.diag([1.2, -0.2]),
+                         np.diag([1.0 + 1e-9, -1e-9])]).astype(complex)
+        physical, spectra = positivity_test(mats)
+        assert physical.tolist() == [True, False, True]
+        for m, p, w in zip(mats, physical, spectra):
+            single, values = positivity_test(m)
+            assert bool(single) == p
+            assert np.array_equal(values, w)
+            assert values[0] == values.min()
+
+    def test_slack_scales_with_dimension(self):
+        # the allowed negative slack is tol * n
+        assert positivity_test(np.diag([1.0 + 2.5e-9, 0.0, -2.5e-9]), tol=1e-9)[0]
+        assert not positivity_test(np.diag([1.0 + 2.5e-9, -2.5e-9]), tol=1e-9)[0]
 
 
 class TestTraceInvariants:
@@ -223,3 +259,25 @@ def test_dimension_cap():
     with pytest.raises(DimensionOutOfRange):
         DensityMatrix(np.eye(65) / 65)
     DensityMatrix(np.eye(64) / 64)  # boundary dimension is supported
+
+
+def test_classify_solves_the_spectrum_once(tmp_path, monkeypatch, capsys):
+    m = random_density_matrix(4, 5).matrix
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 4, "re": m.real.tolist(), "im": m.imag.tolist()}))
+    args = cli.build_parser().parse_args(["classify", "--input", str(path)])
+    calls = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(*a, **k):
+            calls.append(name)
+            return solver(*a, **k)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert cli.cmd_classify(args) == 0
+    assert calls == ["eigvalsh"]
+    assert json.loads(capsys.readouterr().out)["state_class"] == "Generic"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_atlas import (
     AmbiguousClustering,
@@ -17,9 +19,10 @@ from orbit_atlas import (
     purity,
     random_density_matrix,
     random_unitary,
+    sp_orbit_bounds,
     von_neumann_entropy,
 )
-from orbit_atlas.orbits import _partitions
+from orbit_atlas.orbits import _partitions, cluster_spectrum
 
 
 def diag_state(*values):
@@ -62,6 +65,14 @@ class TestOrbitSignature:
         with pytest.raises(AmbiguousClustering):
             orbit_signature(rho, cluster_tol=1e-3)
 
+    def test_chained_cluster_raises(self):
+        # neighbours 0.9e-8 apart are each within cluster_tol, but single
+        # linkage would chain all four into one cluster 2.7e-8 wide
+        chain = [0.1 + d * 1e-8 for d in (1.35, 0.45, -0.45, -1.35)]
+        rho = diag_state(0.3, 0.2, *chain, 0.06, 0.04)
+        with pytest.raises(AmbiguousClustering, match="spreads"):
+            orbit_signature(rho, cluster_tol=1e-8)
+
     def test_signature_is_conjugation_invariant(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
@@ -85,6 +96,41 @@ class TestOrbitSignature:
                 # distinct values strictly decreasing beyond the tolerance
                 for hi, lo in zip(sig.distinct_values, sig.distinct_values[1:]):
                     assert hi - lo > sig.cluster_tol
+
+
+#: Integer weights of an even-length diagonal (half-dimension 1..16); equal
+#: weights give exactly equal entries, distinct ones differ by >= 1/160.
+even_weights = st.integers(1, 16).flatmap(
+    lambda n: st.lists(st.integers(1, 5), min_size=2 * n, max_size=2 * n))
+
+
+def normalized(weights):
+    d = np.asarray(weights, dtype=float)
+    return d / d.sum()
+
+
+class TestClusteringProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(weights=even_weights, seed=st.integers(0, 2 ** 32 - 1))
+    def test_signature_agrees_with_sp_orbit_bounds(self, weights, seed):
+        d = normalized(weights)
+        u = random_unitary(len(d), seed)
+        sig = orbit_signature(DensityMatrix((u * d[None, :]) @ u.conj().T))
+        _, counts = np.unique(weights, return_counts=True)
+        assert sorted(sig.multiplicities) == sorted(counts.tolist())
+        assert orbit_dimension(sig) == sp_orbit_bounds(d).unitary_dim
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=even_weights, data=st.data())
+    def test_clustering_ignores_order(self, weights, data):
+        d = normalized(weights)
+        p = normalized(data.draw(st.permutations(weights)))
+        assert cluster_spectrum(p, 1e-12) == cluster_spectrum(d, 1e-12)
+        s1 = orbit_signature(DensityMatrix(np.diag(d)))
+        s2 = orbit_signature(DensityMatrix(np.diag(p)))
+        assert s1.multiplicities == s2.multiplicities
+        assert np.allclose(s1.distinct_values, s2.distinct_values, rtol=0, atol=1e-15)
+        assert sp_orbit_bounds(p).unitary_dim == sp_orbit_bounds(d).unitary_dim
 
 
 class TestOrbitDimension:

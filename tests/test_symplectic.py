@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_atlas import (
     LengthMismatch,
@@ -76,6 +81,21 @@ class TestRandomSymplectic:
                 s = random_symplectic(n, seed)
                 assert is_symplectic(s, tol=1e-8)
                 assert has_sp_block_form(s, tol=1e-8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 32), seed=st.integers(0, 2 ** 63 - 1))
+    def test_deterministic_member_for_every_size(self, n, seed):
+        s = random_symplectic(n, seed)
+        assert np.array_equal(s, random_symplectic(n, seed))
+        assert is_symplectic(s)
+        assert has_sp_block_form(s)
+
+    def test_package_import_leaves_scipy_out(self):
+        code = ("import sys, orbit_atlas; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "[]"
 
     def test_preserves_skew_form(self):
         rng = np.random.default_rng(91)
