@@ -4,7 +4,7 @@ Subcommands wrap the library for batch use and dataset emission:
 
     orbit-atlas classify --input state.json
     orbit-atlas bloch --input state.json --to-vector [--check]
-    orbit-atlas tables 3|...|8|sp [--output file.csv]
+    orbit-atlas tables 2|...|8|sp [--output file.csv]
     orbit-atlas qutrit region|fig2|fig3|fraction [flags]
 
 Exit codes: 0 success, 2 input/parse error (including unknown flags),
@@ -56,7 +56,10 @@ def _default_tol() -> float:
 def _open_output(path):
     if path is None:
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, writer) -> None:
@@ -154,6 +157,8 @@ def _hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
 
 
 def cmd_qutrit(args) -> int:
+    if args.kind != "fraction" and args.a_steps < 1:
+        raise ParseError(f"--a-steps must be >= 1, got {args.a_steps}")
     if args.kind == "region":
         c2_grid, _ = qutrit.default_region_grid_axes()
         a_grid = np.linspace(qutrit.A_MIN_CANONICAL, 1.0, args.a_steps)

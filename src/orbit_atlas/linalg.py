@@ -8,6 +8,7 @@ function over immutable values, so the module is safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,15 @@ MAX_DIM = 64
 
 #: Residual budget of the eigensolver, relative to ``max|H| * n``.
 EIG_RESIDUAL_FACTOR = 1e-10
+
+
+def check_tolerance(tol: float, name: str = "tolerance") -> float:
+    """``tol`` as a float; ParameterOutOfRange unless it is finite and >= 0
+    (a NaN tolerance would make every ``value > tol`` test pass)."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterOutOfRange(f"{name} must be finite and nonnegative, got {tol}")
+    return tol
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
@@ -98,6 +108,7 @@ def hermitian_eigensystem(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
 def positivity_test(matrices, tol: float = DEFAULT_TOL):
     """``(physical, spectra)`` of one Hermitian n x n matrix or a stack: the
     ascending eigenvalues, and whether the smallest is >= -tol * n."""
+    tol = check_tolerance(tol)
     spectra = np.linalg.eigvalsh(matrices)
     return spectra[..., 0] >= -tol * spectra.shape[-1], spectra
 
@@ -113,8 +124,7 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_spectrum", "_tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        if tol < 0:
-            raise ParameterOutOfRange(f"tolerance must be nonnegative, got {tol}")
+        tol = check_tolerance(tol)
         m = as_complex_matrix(matrix)
         defect = hermiticity_defect(m)
         if defect > tol:
@@ -133,7 +143,7 @@ class DensityMatrix:
         ascending.setflags(write=False)
         self._matrix = m
         self._spectrum = ascending[::-1]
-        self._tol = float(tol)
+        self._tol = tol
 
     @property
     def matrix(self) -> np.ndarray:

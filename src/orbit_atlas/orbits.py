@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import AmbiguousClustering, DimensionMismatch, DimensionOutOfRange
-from .linalg import DEFAULT_TOL, DensityMatrix
+from .linalg import DEFAULT_TOL, DensityMatrix, check_tolerance
 
 #: Default eigenvalue clustering tolerance for degeneracy detection.
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -84,6 +84,7 @@ def orbit_signature(rho: DensityMatrix,
     means within ``2 * cluster_tol``, or one cluster wider (largest member
     minus smallest) than ``cluster_tol``, i.e. single linkage chained it.
     """
+    cluster_tol = check_tolerance(cluster_tol, "cluster_tol")
     clusters = cluster_spectrum(rho.eigenvalues(), cluster_tol)
     values = tuple(float(np.mean(c)) for c in clusters)
     mults = tuple(len(c) for c in clusters)

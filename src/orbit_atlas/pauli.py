@@ -12,6 +12,13 @@ Hermitian matrices.  A state expands as rho = I/n + sum_k s_k sigma_k with
 coherence components s_k = Tr(rho sigma_k); the Bloch convention stores the
 same vector scaled by two.  The squared length of the coherence vector obeys
 |s|^2 = Tr(rho^2) - 1/n.
+
+Each off-diagonal element has two nonzero entries and each diagonal one
+lies on the diagonal (generalized Gell-Mann matrices; Bertlmann and
+Krammer, J. Phys. A 41, 235303 (2008)), so
+``_index_maps`` writes the order above as O(n^2) index maps, and embedding
+and reconstruction gather and scatter entries for 2 <= n <= 64.  Only
+``generate_basis`` builds dense matrices, for n <= 16.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ from math import sqrt
 import numpy as np
 
 from .exceptions import DimensionOutOfRange, LengthMismatch, ValidationError
-from .linalg import DEFAULT_TOL, DensityMatrix, positivity_test
+from .linalg import DEFAULT_TOL, MAX_DIM, DensityMatrix, positivity_test
 
 MIN_BASIS_DIM = 2
-MAX_BASIS_DIM = 16
+MAX_BASIS_DIM = 16  # dense basis: (n^2 - 1) n^2 entries, 268 MB at n = 64
 
 
 class Convention(enum.Enum):
@@ -58,6 +65,10 @@ class CoherenceVector:
     convention: Convention = Convention.COHERENCE
 
     def __post_init__(self):
+        if not MIN_BASIS_DIM <= self.dim <= MAX_DIM:
+            raise DimensionOutOfRange(
+                f"coherence vector dimension {self.dim} outside "
+                f"[{MIN_BASIS_DIM}, {MAX_DIM}]")
         comps = np.array(self.components, dtype=float)
         expected = self.dim * self.dim - 1
         if comps.ndim != 1 or comps.shape[0] != expected:
@@ -74,60 +85,75 @@ class CoherenceVector:
 
 
 @lru_cache(maxsize=None)
-def _build_basis(n: int) -> PauliBasis:
-    elements = []
-    # symmetric off-diagonal block
-    for r in range(n):
-        for s in range(r + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[r, s] = 1.0 / sqrt(2.0)
-            m[s, r] = 1.0 / sqrt(2.0)
-            elements.append(m)
-    # antisymmetric off-diagonal block
-    for r in range(n):
-        for s in range(r + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[r, s] = -1j / sqrt(2.0)
-            m[s, r] = 1j / sqrt(2.0)
-            elements.append(m)
-    # diagonal block; entry r balances the first r levels against level r+1
-    for r in range(1, n):
-        c = 1.0 / sqrt(r * (r + 1.0))
-        d = np.zeros(n, dtype=np.complex128)
-        d[:r] = c
-        d[r] = -r * c
-        elements.append(np.diag(d))
-    for m in elements:
-        m.setflags(write=False)
-    identity = np.eye(n, dtype=np.complex128) / sqrt(n)
-    identity.setflags(write=False)
-    return PauliBasis(dim=n, elements=tuple(elements), identity_element=identity)
+def _index_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, diag)``, the basis order (read-only).
+
+    Components p and m + p, m = n(n-1)/2, are the symmetric and antisymmetric
+    elements of the pair (rows[p], cols[p]) in upper-triangle order.  Row
+    k - 1 of ``diag`` is element 2m + k - 1: c_k on levels 0..k-1 and -k c_k
+    on level k, c_k = 1/sqrt(k(k+1)).
+    """
+    rows, cols = np.triu_indices(n, 1)
+    k = np.arange(1, n)
+    c = 1.0 / np.sqrt(k * (k + 1.0))
+    diag = np.tri(n - 1, n) * c[:, None]
+    diag[k - 1, k] = -k * c
+    for a in (rows, cols, diag):
+        a.setflags(write=False)
+    return rows, cols, diag
 
 
-def generate_basis(n: int) -> PauliBasis:
-    """Orthonormal traceless Hermitian basis for dimension n (2 <= n <= 16)."""
+def _traceless(comps, n: int) -> np.ndarray:
+    """``sum_k s_k sigma_k`` as (..., n, n) complex matrices for components
+    of shape (..., n^2 - 1): each real and imaginary part of the result takes
+    its ``pick`` column of ``source`` (sym, asym, -asym, diagonal, zero)."""
+    rows, cols, diag = _index_maps(n)
+    m = rows.shape[0]
+    p = np.arange(m)
+    comps = np.asarray(comps, dtype=float)
+    source = np.zeros(comps.shape[:-1] + (3 * m + n + 1,))
+    np.multiply(comps[..., :2 * m], 1.0 / sqrt(2.0), out=source[..., :2 * m])
+    np.negative(source[..., m:2 * m], out=source[..., 2 * m:3 * m])
+    source[..., 3 * m:-1] = comps[..., 2 * m:] @ diag
+    upper, lower = 2 * (rows * n + cols), 2 * (cols * n + rows)
+    pick = np.full(2 * n * n, 3 * m + n)
+    pick[upper] = pick[lower] = p
+    pick[upper + 1], pick[lower + 1] = 2 * m + p, m + p
+    pick[2 * (n + 1) * np.arange(n)] = 3 * m + np.arange(n)
+    out = source.take(pick, axis=-1).view(np.complex128)
+    return out.reshape(comps.shape[:-1] + (n, n))
+
+
+def _check_dense_dim(n: int) -> None:
+    """Refuse a dimension outside [2, MAX_BASIS_DIM] for the dense paths."""
     if not MIN_BASIS_DIM <= n <= MAX_BASIS_DIM:
         raise DimensionOutOfRange(
             f"basis dimension {n} outside [{MIN_BASIS_DIM}, {MAX_BASIS_DIM}]")
-    return _build_basis(int(n))
 
 
-@lru_cache(maxsize=None)
-def basis_stack(n: int) -> np.ndarray:
-    """All basis elements stacked into one (n^2-1, n, n) array (read-only)."""
-    stack = np.stack(generate_basis(n).elements)
-    stack.setflags(write=False)
-    return stack
+def generate_basis(n: int) -> PauliBasis:
+    """Orthonormal traceless Hermitian basis for dimension n (2 <= n <= 16),
+    as dense read-only matrices."""
+    _check_dense_dim(n)
+    stack = _traceless(np.eye(n * n - 1), n)
+    identity = np.eye(n, dtype=np.complex128) / sqrt(n)
+    for a in (stack, identity):
+        a.setflags(write=False)
+    return PauliBasis(dim=int(n), elements=tuple(stack), identity_element=identity)
 
 
 def to_coherence_vector(rho: DensityMatrix) -> CoherenceVector:
     """Coherence components s_k = Tr(rho sigma_k).
 
-    The implied identity coefficient 1/sqrt(n) is fixed by the unit trace
-    and is not stored.
+    Gathered from the lower triangle and the real diagonal, the entries the
+    eigensolver reads, so |s|^2 = Tr(rho^2) - 1/n holds for the spectrum
+    the state reports.  The implied identity coefficient 1/sqrt(n) is fixed
+    by the unit trace and is not stored.
     """
-    stack = basis_stack(rho.dim)
-    comps = np.einsum("kij,ji->k", stack, rho.matrix).real
+    rows, cols, diag = _index_maps(rho.dim)
+    lower = sqrt(2.0) * rho.matrix[cols, rows]
+    comps = np.concatenate(
+        (lower.real, lower.imag, diag @ rho.matrix.diagonal().real))
     return CoherenceVector(dim=rho.dim, components=comps,
                            convention=Convention.COHERENCE)
 
@@ -143,8 +169,7 @@ def from_coherence_vector(vec: CoherenceVector) -> np.ndarray:
     if vec.convention is Convention.BLOCH:
         comps = comps / 2.0
     n = vec.dim
-    return np.eye(n, dtype=np.complex128) / n + np.tensordot(
-        comps, basis_stack(n), axes=(0, 0))
+    return np.eye(n, dtype=np.complex128) / n + _traceless(comps, n)
 
 
 def is_physical_vector(vec: CoherenceVector,

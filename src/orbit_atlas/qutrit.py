@@ -31,7 +31,7 @@ import numpy as np
 from .exceptions import ParameterOutOfRange
 from .linalg import DEFAULT_TOL, positivity_test
 from .orbits import entropy_of_spectrum
-from .pauli import basis_stack
+from .pauli import _check_dense_dim, _traceless
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
 #: and rounding must neither push it into the non-Hermitian class nor split
@@ -249,7 +249,9 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     Draws ``samples`` uniform directions on the unit sphere in R^(n^2 - 1)
     (normalized Gaussians), scales them to radius sqrt(c2 - 1/n) and tests
     positivity of the reconstructed matrices.  Deterministic per ``seed``.
+    The matrices are held as one dense (samples, n, n) stack, so n <= 16.
     """
+    _check_dense_dim(n)
     if samples < 1:
         raise ParameterOutOfRange(f"samples must be >= 1, got {samples}")
     if not 1.0 / n < c2 <= 1.0 + 1e-12:
@@ -260,6 +262,5 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0  # measure-zero guard
     vecs = g * (radius / norms)[:, None]
-    mats = np.eye(n, dtype=np.complex128) / n + np.tensordot(
-        vecs, basis_stack(n), axes=(1, 0))
+    mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
     return float(np.mean(positivity_test(mats, tol)[0]))

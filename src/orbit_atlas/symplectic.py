@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import LengthMismatch, NotNormalized, OddDimension
-from .linalg import _as_rng, as_complex_matrix, hermitian_eigensystem
+from .linalg import _as_rng, as_complex_matrix, check_tolerance, hermitian_eigensystem
 from .orbits import cluster_spectrum
 
 _GROUP_TOL = 1e-12
@@ -135,6 +135,7 @@ def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
     produce different reports.  Entries must lie in [0, 1] and sum to one
     within 1e-9.
     """
+    tol = check_tolerance(tol)
     d = np.asarray(diagonal, dtype=float)
     if d.ndim != 1 or d.shape[0] % 2 != 0 or d.shape[0] < 2:
         raise OddDimension(f"expected even-length diagonal, got shape {d.shape}")

@@ -33,7 +33,7 @@ from orbit_atlas import (
     to_coherence_vector,
     von_neumann_entropy,
 )
-from orbit_atlas.pauli import CoherenceVector, basis_stack
+from orbit_atlas.pauli import CoherenceVector
 from orbit_atlas.symplectic import QUAT_E1, QUAT_E2, QUAT_E3, QUAT_ONE, Quaternion
 
 
@@ -106,8 +106,9 @@ def test_criterion_04_symplectic_table_reproduction():
 
 
 def _batched_min_eigs(vecs, n):
+    stack = np.stack(generate_basis(n).elements)
     mats = np.eye(n, dtype=np.complex128) / n + np.tensordot(
-        vecs, basis_stack(n), axes=(1, 0))
+        vecs, stack, axes=(1, 0))
     return np.linalg.eigvalsh(mats)[:, 0]
 
 

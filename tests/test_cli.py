@@ -18,6 +18,18 @@ def run_cli(*argv, env_extra=None):
         capture_output=True, text=True, env=env)
 
 
+def write_vector(path, n, comps, convention="coherence"):
+    path.write_text(json.dumps(
+        {"dim": n, "convention": convention, "components": list(comps)}))
+    return str(path)
+
+
+def random_state(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n, 2)) @ [1, 1j]
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
 def write_matrix(path, matrix):
     m = np.asarray(matrix, dtype=complex)
     path.write_text(json.dumps({
@@ -90,6 +102,45 @@ class TestClassify:
         assert "Traceback" not in res.stderr
         assert "non-finite" in res.stderr
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_state_report(self, tmp_path, n):
+        rho = random_state(n, n)
+        res = run_cli("classify", "--input", write_matrix(tmp_path / "m.json", rho))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["dim"] == n
+        assert report["state_class"] == "Generic"
+        radius, purity = float(report["coherence_radius"]), float(report["purity"])
+        assert radius ** 2 == pytest.approx(purity - 1.0 / n, abs=1e-10)
+
+    def test_one_level_state_exits_3(self, tmp_path):
+        res = run_cli("classify", "--input", write_matrix(tmp_path / "m.json", [[1.0]]))
+        assert res.returncode == 3
+        assert "dimension 1 outside [2, 64]" in res.stderr
+
+    def test_nan_cluster_tol_exits_3(self, tmp_path):
+        # with a NaN tolerance no gap compares as small, so I/3 would be
+        # reported Generic
+        f = write_matrix(tmp_path / "m.json", np.eye(3) / 3)
+        res = run_cli("classify", "--input", f, "--cluster-tol", "nan")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "cluster_tol" in res.stderr
+
+    def test_nan_env_tolerance_exits_3(self, tmp_path):
+        f = write_matrix(tmp_path / "m.json", np.eye(3) / 3)
+        res = run_cli("classify", "--input", f, env_extra={"ORBIT_ATLAS_TOL": "nan"})
+        assert res.returncode == 3
+        assert "tolerance" in res.stderr
+
+    def test_unwritable_output_exits_2(self, tmp_path):
+        f = write_matrix(tmp_path / "m.json", np.eye(3) / 3)
+        res = run_cli("classify", "--input", f,
+                      "--output", str(tmp_path / "missing" / "x.json"))
+        assert res.returncode == 2
+        assert "cannot write" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unknown_flag_rejected(self, tmp_path):
         f = write_matrix(tmp_path / "m.json", np.eye(2) / 2)
         res = run_cli("classify", "--input", f, "--frobnicate")
@@ -159,6 +210,42 @@ class TestBloch:
         assert res.returncode == 3
         assert res.stdout == ""
         assert "non-finite" in res.stderr
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_round_trip_with_check(self, tmp_path, n):
+        rho = random_state(n, n + 1)
+        vec_file = tmp_path / "v.json"
+        res = run_cli("bloch", "--input", write_matrix(tmp_path / "m.json", rho),
+                      "--to-vector", "--check", "--output", str(vec_file))
+        assert res.returncode == 0, res.stderr
+        obj = json.loads(vec_file.read_text())
+        assert len(obj["components"]) == n * n - 1
+        assert obj["physical"] is True
+        purity = float(np.sum(np.abs(rho) ** 2))
+        assert np.sum(np.square(obj["components"])) == pytest.approx(
+            purity - 1.0 / n, abs=1e-10)
+        res = run_cli("bloch", "--input", str(vec_file), "--to-matrix", "--check")
+        assert res.returncode == 0, res.stderr
+        obj = json.loads(res.stdout)
+        assert obj["physical"] is True
+        back = np.array(obj["re"]) + 1j * np.array(obj["im"])
+        assert np.abs(back - rho).max() <= 1e-10
+
+    def test_vector_dimension_65_exits_3(self, tmp_path):
+        f = write_vector(tmp_path / "v.json", 65, [0.0] * (65 * 65 - 1))
+        res = run_cli("bloch", "--input", f, "--to-matrix")
+        assert res.returncode == 3
+        assert "dimension 65 outside [2, 64]" in res.stderr
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_check_bad_tolerance_exits_3(self, tmp_path, tol):
+        # a physical qubit vector; a NaN or negative tolerance would call it
+        # not physical
+        f = write_vector(tmp_path / "v.json", 2, [0.0, 0.0, 0.5])
+        res = run_cli("bloch", "--input", f, "--to-matrix", "--check", "--tol", tol)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "finite and nonnegative" in res.stderr
 
     def test_missing_components_exits_2(self, tmp_path):
         f = tmp_path / "v.json"
@@ -244,6 +331,28 @@ class TestQutrit:
         lines = res.stdout.strip().splitlines()
         assert lines[0] == "c2,a,a_plus_b"
         assert len(lines) > 10
+
+    def test_fraction_nan_tolerance_exits_3(self):
+        # c2 = 0.5 lies in the inscribed ball, where the exact fraction is 1
+        res = run_cli("qutrit", "fraction", "--n", "3", "--c2", "0.5", "--tol", "nan")
+        assert res.returncode == 3
+        assert res.stdout == ""
+
+    def test_fraction_dense_dimension_cap_exits_3(self):
+        res = run_cli("qutrit", "fraction", "--n", "17", "--c2", "0.5")
+        assert res.returncode == 3
+        assert "basis dimension 17 outside [2, 16]" in res.stderr
+
+    def test_region_negative_a_steps_exits_2(self):
+        res = run_cli("qutrit", "region", "--a-steps", "-5")
+        assert res.returncode == 2
+        assert "--a-steps must be >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_fig3_zero_a_steps_exits_2(self):
+        res = run_cli("qutrit", "fig3", "--c2", "0.6", "--a-steps", "0")
+        assert res.returncode == 2
+        assert res.stdout == ""
 
     def test_bad_c2_exits_2(self):
         assert run_cli("qutrit", "fig3", "--c2", "0.2").returncode == 2

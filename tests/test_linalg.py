@@ -115,6 +115,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix(m)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ParameterOutOfRange, match="finite and nonnegative"):
+            DensityMatrix(np.eye(2) / 2, tol=tol)
+        with pytest.raises(ParameterOutOfRange):
+            positivity_test(np.eye(2) / 2, tol)
+
     def test_eigenvalues_returns_a_copy_of_the_stored_spectrum(self):
         rho = DensityMatrix(np.diag([0.2, 0.5, 0.3]))
         w = rho.eigenvalues()

@@ -110,7 +110,7 @@ def normalized(weights):
 
 
 class TestClusteringProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(weights=even_weights, seed=st.integers(0, 2 ** 32 - 1))
     def test_signature_agrees_with_sp_orbit_bounds(self, weights, seed):
         d = normalized(weights)
@@ -120,7 +120,7 @@ class TestClusteringProperties:
         assert sorted(sig.multiplicities) == sorted(counts.tolist())
         assert orbit_dimension(sig) == sp_orbit_bounds(d).unitary_dim
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(weights=even_weights, data=st.data())
     def test_clustering_ignores_order(self, weights, data):
         d = normalized(weights)

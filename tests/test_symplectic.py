@@ -10,6 +10,7 @@ from orbit_atlas import (
     LengthMismatch,
     NotNormalized,
     OddDimension,
+    ParameterOutOfRange,
     Quaternion,
     SpRuleKind,
     complex_to_quat,
@@ -82,7 +83,7 @@ class TestRandomSymplectic:
                 assert is_symplectic(s, tol=1e-8)
                 assert has_sp_block_form(s, tol=1e-8)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(n=st.integers(1, 32), seed=st.integers(0, 2 ** 63 - 1))
     def test_deterministic_member_for_every_size(self, n, seed):
         s = random_symplectic(n, seed)
@@ -161,6 +162,11 @@ class TestOrbitBounds:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
             sp_orbit_bounds([0.5, 0.4, 0.2, 0.1])
+
+    def test_rejects_nan_tolerance(self):
+        # under a NaN tolerance nothing merges and min_bound would read 8, not 0
+        with pytest.raises(ParameterOutOfRange):
+            sp_orbit_bounds([0.25] * 4, tol=float("nan"))
 
     def test_rejects_odd_length(self):
         with pytest.raises(OddDimension):
