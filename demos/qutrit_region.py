@@ -9,8 +9,6 @@ files under demos/output/.
 
 import pathlib
 
-import numpy as np
-
 from orbit_atlas import (
     feasible_interval,
     fig2_curve,
@@ -25,7 +23,7 @@ from orbit_atlas.formats import (
     write_fractions_csv,
     write_region_csv,
 )
-from orbit_atlas.qutrit import default_region_grid_axes
+from orbit_atlas.qutrit import default_region_grid_axes, hermitian_a_grid
 
 OUT = pathlib.Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -47,8 +45,7 @@ with open(OUT / "region.csv", "w", encoding="utf-8") as fh:
     write_region_csv(fh, records)
 
 for c2 in (0.4, 0.55, 0.6, 0.8):
-    k1 = np.sqrt(6 * c2 - 2)
-    grid = np.linspace(max((1 - k1) / 3, 0.0), (1 + k1) / 3, 400)
+    grid = hermitian_a_grid(c2, 400)
     with open(OUT / f"fig2_c2_{c2:.2f}.csv", "w", encoding="utf-8") as fh:
         write_fig2_csv(fh, c2, fig2_curve(c2, grid))
     with open(OUT / f"fig3_c2_{c2:.2f}.csv", "w", encoding="utf-8") as fh:

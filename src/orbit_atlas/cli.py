@@ -16,7 +16,6 @@ default validation tolerance; an explicit --tol wins over both.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -148,14 +147,6 @@ def _qutrit_c2(args) -> float:
     return _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")
 
 
-def _hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
-    # full range where K is real, clipped into [0, 1]
-    k1 = math.sqrt(max(6.0 * c2 - 2.0, 0.0))
-    lo = max((1.0 - k1) / 3.0, 0.0)
-    hi = min((1.0 + k1) / 3.0, 1.0)
-    return np.linspace(lo, hi, 1 if hi - lo < 1e-15 else steps)
-
-
 def cmd_qutrit(args) -> int:
     if args.kind != "fraction" and args.a_steps < 1:
         raise ParseError(f"--a-steps must be >= 1, got {args.a_steps}")
@@ -167,12 +158,12 @@ def cmd_qutrit(args) -> int:
         return EXIT_OK
     if args.kind == "fig2":
         c2 = _qutrit_c2(args)
-        points = qutrit.fig2_curve(c2, _hermitian_a_grid(c2, args.a_steps))
+        points = qutrit.fig2_curve(c2, qutrit.hermitian_a_grid(c2, args.a_steps))
         _emit(args, lambda fh: formats.write_fig2_csv(fh, c2, points))
         return EXIT_OK
     if args.kind == "fig3":
         c2 = _qutrit_c2(args)
-        points = qutrit.fig3_curve(c2, _hermitian_a_grid(c2, args.a_steps))
+        points = qutrit.fig3_curve(c2, qutrit.hermitian_a_grid(c2, args.a_steps))
         _emit(args, lambda fh: formats.write_fig3_csv(fh, c2, points))
         return EXIT_OK
     # fraction

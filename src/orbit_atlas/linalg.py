@@ -80,6 +80,7 @@ def hermitian_eigensystem(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     Raises NotHermitian when the symmetry defect exceeds ``tol`` and
     NoConvergence when the solver cannot meet its residual budget.
     """
+    tol = check_tolerance(tol)
     h = as_complex_matrix(matrix)
     defect = hermiticity_defect(h)
     if defect > tol:
@@ -188,6 +189,7 @@ def unitarily_equivalent(rho1: DensityMatrix, rho2: DensityMatrix,
     Equivalent to spectrum comparison: true iff all n trace invariants
     agree within ``tol``.
     """
+    tol = check_tolerance(tol)
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(
             f"dimension mismatch: {rho1.dim} vs {rho2.dim}")

@@ -144,6 +144,7 @@ def majorize_compare(rho1: DensityMatrix, rho2: DensityMatrix,
     within ``tol``, with at least one falling short by more than ``tol``.
     Conflicting strict comparisons give INCOMPARABLE.
     """
+    tol = check_tolerance(tol)
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     a = np.sort(rho1.eigenvalues())

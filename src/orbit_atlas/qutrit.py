@@ -16,6 +16,12 @@ inequalities carve the (a, c2) plane:
 and a >= 1/3.  Points on the solid curve are the degenerate states
 diag(a, (1-a)/2, (1-a)/2); points on the dash-dot curve are diag(a, a, 1-2a).
 
+One array kernel, ``_region_kernel``, maps (a, c2) arrays to (b, c, K) and a
+class code.  It is the one place the formula above, the K2_SNAP rule and the
+precedence of the region classes are written: ``feasibility`` and
+``qutrit_from_params`` call it on one point, and ``region_grid``,
+``fig2_curve`` and ``fig3_curve`` on a whole grid at once.
+
 The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
 """
@@ -23,6 +29,7 @@ fixed purity in coherence-vector space is occupied by physical states.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +37,6 @@ import numpy as np
 
 from .exceptions import ParameterOutOfRange
 from .linalg import DEFAULT_TOL, positivity_test
-from .orbits import entropy_of_spectrum
 from .pauli import _check_dense_dim, _traceless
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
@@ -90,33 +96,54 @@ class FeasibleInterval:
     K2: float | None = None
 
 
-def _check_domain(a: float, c2: float) -> None:
-    if not 0.0 <= a <= 1.0:
-        raise ParameterOutOfRange(f"a={a} outside [0, 1]")
-    if not A_MIN_CANONICAL - 1e-12 <= c2 <= 1.0 + 1e-12:
-        raise ParameterOutOfRange(f"c2={c2} outside [1/3, 1]")
+def _check_domain(a, c2) -> None:
+    """ParameterOutOfRange unless every a lies in [0, 1] and every c2 in
+    [1/3, 1]; scalars or arrays, NaN counts as outside."""
+    a, c2 = np.asarray(a, dtype=float), np.asarray(c2, dtype=float)
+    bad = ~((0.0 <= a) & (a <= 1.0))
+    if bad.any():
+        raise ParameterOutOfRange(f"a={a[bad][0]} outside [0, 1]")
+    bad = ~((A_MIN_CANONICAL - 1e-12 <= c2) & (c2 <= 1.0 + 1e-12))
+    if bad.any():
+        raise ParameterOutOfRange(f"c2={c2[bad][0]} outside [1/3, 1]")
+
+
+#: Feasibility classes in order of precedence: a point takes the first class
+#: whose condition in ``_region_kernel`` holds, and the kernel's class code
+#: indexes this tuple.  The last entry is the fall-through.
+_CLASS_ORDER = (RegionClass.NON_HERMITIAN, RegionClass.NON_POSITIVE,
+                RegionClass.BOUNDARY_PSEUDO_PURE_SOLID,
+                RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT,
+                RegionClass.UNIQUE_ORBIT, RegionClass.PHYSICAL_DUPLICATE)
+
+
+def _region_kernel(a, c2):
+    """``(b, c, K, code)`` arrays for broadcastable ``(a, c2)`` arrays.
+
+    Non-Hermitian points (K^2 < -K2_SNAP) carry NaN for b, c and K, and
+    ``_CLASS_ORDER[code]`` is each point's class.  The domain is not checked.
+    """
+    a, c2 = np.asarray(a, dtype=float), np.asarray(c2, dtype=float)
+    disc = 2.0 * c2 - solid_curve(a)  # this is K^2
+    non_hermitian = disc < -K2_SNAP
+    k = np.sqrt(np.select([non_hermitian, disc <= K2_SNAP], [np.nan, 0.0], disc))
+    on_solid = np.abs(disc) <= BOUNDARY_TOL
+    on_dashdot = np.abs(dashdot_curve(a) - c2) <= BOUNDARY_TOL
+    # both bands hold only near the maximally mixed center (1/3, 1/3); such a
+    # point is taken as the center, not a degenerate pair, and falls through
+    code = np.select([non_hermitian,
+                      dashed_curve(a) < c2 - K2_SNAP,
+                      on_solid & ~on_dashdot,
+                      on_dashdot & ~on_solid,
+                      (dashdot_curve(a) >= c2 - K2_SNAP) & (a >= A_MIN_CANONICAL - 1e-12)],
+                     range(5), default=5)
+    return (1.0 - a + k) / 2.0, (1.0 - a - k) / 2.0, k, code
 
 
 def feasibility(a: float, c2: float) -> RegionClass:
     """Classify one (a, c2) point against the three region inequalities."""
     _check_domain(a, c2)
-    disc = 2.0 * c2 - solid_curve(a)  # this is K^2
-    if disc < -K2_SNAP:
-        return RegionClass.NON_HERMITIAN
-    if dashed_curve(a) < c2 - K2_SNAP:
-        return RegionClass.NON_POSITIVE
-    on_solid = abs(disc) <= BOUNDARY_TOL
-    on_dashdot = abs(dashdot_curve(a) - c2) <= BOUNDARY_TOL
-    if on_solid and on_dashdot:
-        # only the maximally mixed center (1/3, 1/3); not a degenerate pair
-        pass
-    elif on_solid:
-        return RegionClass.BOUNDARY_PSEUDO_PURE_SOLID
-    elif on_dashdot:
-        return RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT
-    if dashdot_curve(a) >= c2 - K2_SNAP and a >= A_MIN_CANONICAL - 1e-12:
-        return RegionClass.UNIQUE_ORBIT
-    return RegionClass.PHYSICAL_DUPLICATE
+    return _CLASS_ORDER[int(_region_kernel(a, c2)[3])]
 
 
 def qutrit_from_params(a: float, c2: float) -> QutritRegionPoint:
@@ -126,15 +153,9 @@ def qutrit_from_params(a: float, c2: float) -> QutritRegionPoint:
     derived entries.
     """
     _check_domain(a, c2)
-    classification = feasibility(a, c2)
-    disc = 2.0 * c2 - solid_curve(a)
-    if classification is RegionClass.NON_HERMITIAN:
-        return QutritRegionPoint(a=a, c2=c2, b=math.nan, c=math.nan,
-                                 K=math.nan, classification=classification)
-    k = 0.0 if abs(disc) <= K2_SNAP else math.sqrt(disc)
-    return QutritRegionPoint(
-        a=a, c2=c2, b=(1.0 - a + k) / 2.0, c=(1.0 - a - k) / 2.0, K=k,
-        classification=classification)
+    b, c, k, code = _region_kernel(a, c2)
+    return QutritRegionPoint(a=a, c2=c2, b=float(b), c=float(c), K=float(k),
+                             classification=_CLASS_ORDER[int(code)])
 
 
 def feasible_interval(c2: float) -> FeasibleInterval:
@@ -166,6 +187,17 @@ def feasible_interval(c2: float) -> FeasibleInterval:
                             empty=a_lo > a_hi + 1e-12, K1=k1, K2=k2)
 
 
+def hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
+    """``steps`` evenly spaced a-values where K is real at purity c2.
+
+    The range is [(1 - K1)/3, (1 + K1)/3] clipped into [0, 1]; at c2 = 1/3
+    it is the single point 1/3 and the grid has one entry.
+    """
+    k1 = feasible_interval(c2).K1
+    lo, hi = max((1.0 - k1) / 3.0, 0.0), min((1.0 + k1) / 3.0, 1.0)
+    return np.linspace(lo, hi, 1 if hi - lo < 1e-15 else steps)
+
+
 @dataclass(frozen=True)
 class RegionRecord:
     a: float
@@ -189,17 +221,18 @@ def default_region_grid_axes() -> tuple[np.ndarray, np.ndarray]:
 
 
 def region_grid(c2_values, a_values) -> list[RegionRecord]:
-    """Classification records over a rectangular (c2, a) grid."""
-    records = []
-    for c2 in c2_values:
-        for a in a_values:
-            records.append(RegionRecord(
-                a=float(a), c2=float(c2),
-                classification=feasibility(float(a), float(c2)),
-                curve1=float(solid_curve(a)),
-                curve2=float(dashed_curve(a)),
-                curve3=float(dashdot_curve(a))))
-    return records
+    """Classification records over a rectangular (c2, a) grid, c2-major."""
+    a_axis = np.asarray(a_values, dtype=float)
+    c2_axis = np.asarray(c2_values, dtype=float)
+    a, c2 = np.meshgrid(a_axis, c2_axis)
+    _check_domain(a, c2)
+    classes = np.array(_CLASS_ORDER, dtype=object)[_region_kernel(a, c2)[3]]
+    # every c2 row repeats the a-columns, so the rows share their float objects
+    rows, cols = c2.shape
+    c2_column = itertools.chain.from_iterable([v] * cols for v in c2_axis.tolist())
+    return list(map(RegionRecord, a_axis.tolist() * rows, c2_column, classes.ravel().tolist(),
+                    *(curve(a_axis).tolist() * rows
+                      for curve in (solid_curve, dashed_curve, dashdot_curve))))
 
 
 def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
@@ -209,15 +242,10 @@ def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
     feasible interval the sequence is nonincreasing for c2 > 1/2 and has an
     interior maximum on the ordering curve for c2 <= 1/2.
     """
-    out = []
-    for a in a_values:
-        a = float(a)
-        disc = 2.0 * c2 - solid_curve(a)
-        if disc < -K2_SNAP:
-            continue
-        k = 0.0 if abs(disc) <= K2_SNAP else math.sqrt(disc)
-        out.append((a, (1.0 + a + k) / 2.0))
-    return out
+    a = np.asarray(a_values, dtype=float)
+    _, _, k, code = _region_kernel(a, c2)
+    keep = code != 0  # _CLASS_ORDER[0] is NonHermitian
+    return list(zip(a[keep].tolist(), ((1.0 + a + k) / 2.0)[keep].tolist()))
 
 
 def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
@@ -225,21 +253,18 @@ def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
 
     Skips non-Hermitian points (K^2 < 0) and non-positive ones (c < 0);
     entropy is undefined off the state space.  Nondecreasing in a over the
-    feasible interval for c2 >= 1/2.
+    feasible interval for c2 >= 1/2.  Each value equals
+    ``entropy_of_spectrum((a, b, max(c, 0)))`` bit for bit: the same clip,
+    the same 0 log 0 = 0 and the same left-to-right sum of three terms.
     """
-    out = []
-    for a in a_values:
-        a = float(a)
-        disc = 2.0 * c2 - solid_curve(a)
-        if disc < -K2_SNAP:
-            continue
-        k = 0.0 if abs(disc) <= K2_SNAP else math.sqrt(disc)
-        c = (1.0 - a - k) / 2.0
-        if c < -K2_SNAP:
-            continue
-        b = (1.0 - a + k) / 2.0
-        out.append((a, entropy_of_spectrum((a, b, max(c, 0.0)))))
-    return out
+    a = np.asarray(a_values, dtype=float)
+    b, c, _, code = _region_kernel(a, c2)
+    keep = (code != 0) & ~(c < -K2_SNAP)
+    w = np.clip(np.stack([a, b, np.maximum(c, 0.0)])[:, keep], 0.0, 1.0)
+    positive = w > 0.0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    entropy = -((terms[0] + terms[1]) + terms[2])
+    return list(zip(a[keep].tolist(), np.where(entropy > 0.0, entropy, 0.0).tolist()))
 
 
 def sphere_physical_fraction(n: int, c2: float, samples: int,

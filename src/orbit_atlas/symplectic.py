@@ -55,6 +55,7 @@ def _split_even(matrix) -> tuple[np.ndarray, int]:
 
 def is_symplectic(matrix, tol: float = 1e-8) -> bool:
     """Membership test: unitary and S^T J S = J, both within ``tol``."""
+    tol = check_tolerance(tol)
     s, n = _split_even(matrix)
     dim = 2 * n
     if np.abs(s.conj().T @ s - np.eye(dim)).max() > tol:
@@ -65,6 +66,7 @@ def is_symplectic(matrix, tol: float = 1e-8) -> bool:
 
 def has_sp_block_form(matrix, tol: float = 1e-8) -> bool:
     """Whether S = [[A, B], [-conj(B), conj(A)]] within ``tol``."""
+    tol = check_tolerance(tol)
     s, n = _split_even(matrix)
     a = s[:n, :n]
     b = s[:n, n:]

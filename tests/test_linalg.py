@@ -14,6 +14,9 @@ from orbit_atlas import (
     cli,
     convex_path,
     hermitian_eigensystem,
+    has_sp_block_form,
+    is_symplectic,
+    majorize_compare,
     purity,
     random_density_matrix,
     random_unitary,
@@ -253,6 +256,29 @@ class TestConvexPath:
             rho2 = random_density_matrix(4, rng)
             for t in np.linspace(0.0, 1.0, 11):
                 convex_path(rho1, rho2, float(t))  # validates on construction
+
+
+#: Entry points that take a comparison tolerance, each called with one.  With
+#: a NaN tolerance every ``defect > tol`` test passes and every
+#: ``defect <= tol`` test fails, so each must refuse it up front.
+TOLERANCE_TAKERS = {
+    "hermitian_eigensystem": lambda tol: hermitian_eigensystem(
+        np.array([[0.5, 1.0], [0.0, 0.5]]), tol=tol),
+    "unitarily_equivalent": lambda tol: unitarily_equivalent(
+        DensityMatrix(np.diag([0.6, 0.4])), DensityMatrix(np.diag([0.6, 0.4])), tol=tol),
+    "majorize_compare": lambda tol: majorize_compare(
+        DensityMatrix(np.diag([0.5, 0.3, 0.2])), DensityMatrix(np.diag([0.7, 0.2, 0.1])),
+        tol=tol),
+    "is_symplectic": lambda tol: is_symplectic(np.eye(4), tol=tol),
+    "has_sp_block_form": lambda tol: has_sp_block_form(np.eye(4), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-3])
+@pytest.mark.parametrize("name", sorted(TOLERANCE_TAKERS))
+def test_bad_tolerance_is_refused(name, tol):
+    with pytest.raises(ParameterOutOfRange, match="finite and nonnegative"):
+        TOLERANCE_TAKERS[name](tol)
 
 
 def test_purity_matches_squared_spectrum():

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_atlas import (
     DensityMatrix,
@@ -19,8 +22,19 @@ from orbit_atlas import (
     region_grid,
     sphere_physical_fraction,
 )
+from orbit_atlas.orbits import entropy_of_spectrum
 from orbit_atlas.pauli import CoherenceVector
-from orbit_atlas.qutrit import default_region_grid_axes
+from orbit_atlas.qutrit import (
+    BOUNDARY_TOL,
+    K2_SNAP,
+    QutritRegionPoint,
+    RegionRecord,
+    dashdot_curve,
+    dashed_curve,
+    default_region_grid_axes,
+    hermitian_a_grid,
+    solid_curve,
+)
 
 
 def scan_feasible_interval(c2, step=1e-5, slack=1e-9):
@@ -231,6 +245,214 @@ class TestFigureCurves:
         # at c2 = 0.76, a = 0.6 sits on the ordering curve but c < 0
         points = fig3_curve(0.76, [0.6])
         assert points == []
+
+
+# --------------------------------------------------------------------------
+# Per-point reference: the scalar formulas that the array kernel replaced,
+# kept verbatim (less the domain check) as the oracle for the vectorised code.
+
+def ref_feasibility(a, c2):
+    disc = 2.0 * c2 - solid_curve(a)  # this is K^2
+    if disc < -K2_SNAP:
+        return RegionClass.NON_HERMITIAN
+    if dashed_curve(a) < c2 - K2_SNAP:
+        return RegionClass.NON_POSITIVE
+    on_solid = abs(disc) <= BOUNDARY_TOL
+    on_dashdot = abs(dashdot_curve(a) - c2) <= BOUNDARY_TOL
+    if on_solid and on_dashdot:
+        pass
+    elif on_solid:
+        return RegionClass.BOUNDARY_PSEUDO_PURE_SOLID
+    elif on_dashdot:
+        return RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT
+    if dashdot_curve(a) >= c2 - K2_SNAP and a >= 1.0 / 3.0 - 1e-12:
+        return RegionClass.UNIQUE_ORBIT
+    return RegionClass.PHYSICAL_DUPLICATE
+
+
+def ref_from_params(a, c2):
+    classification = ref_feasibility(a, c2)
+    disc = 2.0 * c2 - solid_curve(a)
+    if classification is RegionClass.NON_HERMITIAN:
+        return QutritRegionPoint(a=a, c2=c2, b=math.nan, c=math.nan,
+                                 K=math.nan, classification=classification)
+    k = 0.0 if abs(disc) <= K2_SNAP else math.sqrt(disc)
+    return QutritRegionPoint(
+        a=a, c2=c2, b=(1.0 - a + k) / 2.0, c=(1.0 - a - k) / 2.0, K=k,
+        classification=classification)
+
+
+def ref_region_grid(c2_values, a_values):
+    return [RegionRecord(a=float(a), c2=float(c2),
+                         classification=ref_feasibility(float(a), float(c2)),
+                         curve1=float(solid_curve(a)), curve2=float(dashed_curve(a)),
+                         curve3=float(dashdot_curve(a)))
+            for c2 in c2_values for a in a_values]
+
+
+def ref_fig2(c2, a_values):
+    out = []
+    for a in a_values:
+        a = float(a)
+        disc = 2.0 * c2 - solid_curve(a)
+        if disc < -K2_SNAP:
+            continue
+        k = 0.0 if abs(disc) <= K2_SNAP else math.sqrt(disc)
+        out.append((a, (1.0 + a + k) / 2.0))
+    return out
+
+
+def ref_fig3(c2, a_values):
+    out = []
+    for a in a_values:
+        a = float(a)
+        disc = 2.0 * c2 - solid_curve(a)
+        if disc < -K2_SNAP:
+            continue
+        k = 0.0 if abs(disc) <= K2_SNAP else math.sqrt(disc)
+        c = (1.0 - a - k) / 2.0
+        if c < -K2_SNAP:
+            continue
+        b = (1.0 - a + k) / 2.0
+        out.append((a, entropy_of_spectrum((a, b, max(c, 0.0)))))
+    return out
+
+
+def bits(rows):
+    """Exact, NaN- and sign-aware comparison key: the repr of every field of
+    every record or tuple."""
+    return [tuple(map(repr, dataclasses.astuple(r) if dataclasses.is_dataclass(r) else r))
+            for r in rows]
+
+
+def special_a_values(c2):
+    """a at 1/3 and 1, and on the solid, dashed and dash-dot curves at c2,
+    where those roots lie in [0, 1]."""
+    k1 = math.sqrt(max(6.0 * c2 - 2.0, 0.0))
+    k2 = math.sqrt(max(2.0 * c2 - 1.0, 0.0))
+    roots = [(1.0 - k1) / 3.0, (1.0 + k1) / 3.0,   # solid
+             (1.0 - k2) / 2.0, (1.0 + k2) / 2.0,   # dashed
+             (2.0 - k1) / 6.0, (2.0 + k1) / 6.0]   # dash-dot
+    return [1.0 / 3.0, 1.0] + [a for a in roots if 0.0 <= a <= 1.0]
+
+
+#: Purities outside the shipped datasets: the domain ends, the c2 = 1/2
+#: branch switch, and random draws.
+KERNEL_C2 = [1.0 / 3.0, 0.5, 1.0] + np.random.default_rng(7).uniform(1 / 3, 1.0, 25).tolist()
+
+
+class TestKernelAgainstReference:
+    """The vectorised datasets equal the per-point formulas bit for bit on
+    grids the golden CSVs do not cover."""
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_region_grid_short_a_grids(self, steps):
+        c2_grid, _ = default_region_grid_axes()
+        grid = np.linspace(1.0 / 3.0, 1.0, steps)
+        assert bits(region_grid(c2_grid, grid)) == bits(ref_region_grid(c2_grid, grid))
+
+    def test_region_grid_random_purities_and_special_points(self):
+        a_values = sorted({a for c2 in KERNEL_C2 for a in special_a_values(c2)})
+        assert bits(region_grid(KERNEL_C2, a_values)) == \
+            bits(ref_region_grid(KERNEL_C2, a_values))
+
+    @pytest.mark.parametrize("c2", KERNEL_C2)
+    def test_scalar_entry_points(self, c2):
+        for a in special_a_values(c2) + np.linspace(0.0, 1.0, 41).tolist():
+            assert feasibility(a, c2) is ref_feasibility(a, c2)
+            assert bits([qutrit_from_params(a, c2)]) == bits([ref_from_params(a, c2)])
+
+    @pytest.mark.parametrize("steps", [1, 2, 150])
+    @pytest.mark.parametrize("c2", KERNEL_C2)
+    def test_figure_curves(self, c2, steps):
+        grid = np.concatenate([hermitian_a_grid(c2, steps), special_a_values(c2)])
+        assert bits(fig2_curve(c2, grid)) == bits(ref_fig2(c2, grid))
+        assert bits(fig3_curve(c2, grid)) == bits(ref_fig3(c2, grid))
+
+    @pytest.mark.parametrize("c2", KERNEL_C2 + [0.4, 0.55, 0.6, 0.8])
+    def test_fig3_is_entropy_of_spectrum(self, c2):
+        points = fig3_curve(c2, hermitian_a_grid(c2, 400))
+        assert points
+        for a, value in points:
+            p = qutrit_from_params(a, c2)
+            assert repr(value) == repr(entropy_of_spectrum((p.a, p.b, max(p.c, 0.0))))
+
+    @pytest.mark.parametrize("c2", [0.4, 0.55, 0.6, 0.8])
+    def test_hermitian_grid_is_the_dataset_grid(self, c2):
+        assert hermitian_a_grid(c2, 400).tolist() == hermitian_a_range(c2).tolist()
+
+    def test_hermitian_grid_collapses_at_minimal_purity(self):
+        assert hermitian_a_grid(1.0 / 3.0, 7).tolist() == [1.0 / 3.0]
+
+
+#: Distance from an endpoint of the feasible interval beyond which the
+#: classification must agree with it.
+INTERVAL_MARGIN = 1e-9
+
+#: Near the centre (1/3, 1/3) the solid and dash-dot boundary bands overlap
+#: and the rule lets every point inside both fall through as the centre.
+#: With c2 within BOUNDARY_TOL of 1/3 that overlap reaches a few 1e-6 from
+#: a = 1/3, while the feasible interval there is narrower than 1e-5.
+CENTRE_BAND_A = 1e-5
+
+
+def in_centre_band(a, c2):
+    return c2 - 1.0 / 3.0 <= BOUNDARY_TOL and abs(a - 1.0 / 3.0) <= CENTRE_BAND_A
+
+
+@st.composite
+def points_near_feasible_interval(draw):
+    c2 = draw(st.floats(1.0 / 3.0, 1.0))
+    iv = feasible_interval(c2)
+    anchor = draw(st.sampled_from([iv.a_lo, iv.a_hi, (iv.a_lo + iv.a_hi) / 2.0]))
+    offset = draw(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-6, 1e-6)))
+    return min(max(anchor + offset, 0.0), 1.0), c2, iv
+
+
+class TestFeasibilityAgreesWithInterval:
+    @settings(max_examples=400)
+    @given(point=points_near_feasible_interval())
+    def test_property(self, point):
+        """Inside the interval by more than the margin: UniqueOrbit or a
+        boundary class.  Outside it by more than the margin: never
+        UniqueOrbit, except in the centre band (see the next test)."""
+        a, c2, iv = point
+        found = feasibility(a, c2)
+        if iv.a_lo + INTERVAL_MARGIN < a < iv.a_hi - INTERVAL_MARGIN:
+            assert found in (RegionClass.UNIQUE_ORBIT,
+                             RegionClass.BOUNDARY_PSEUDO_PURE_SOLID,
+                             RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT)
+        elif a < iv.a_lo - INTERVAL_MARGIN or a > iv.a_hi + INTERVAL_MARGIN:
+            assert found is not RegionClass.UNIQUE_ORBIT or in_centre_band(a, c2)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: inside both boundary bands the rule assumes the centre, "
+        "so a degenerate pair 4e-7 outside the one-point interval at c2 = 1/3 "
+        "is reported as UniqueOrbit"))
+    def test_centre_band_point_outside_the_interval(self):
+        a, c2 = 1.0 / 3.0 + 4e-7, 1.0 / 3.0
+        assert a > feasible_interval(c2).a_hi + INTERVAL_MARGIN
+        p = qutrit_from_params(a, c2)
+        sig = orbit_signature(DensityMatrix(np.diag([p.a, p.b, p.c])))
+        assert sig.state_class is StateClass.PSEUDO_PURE
+        assert p.classification is not RegionClass.UNIQUE_ORBIT
+
+
+class TestDomainSurvivesVectorisation:
+    @pytest.mark.parametrize("c2_values, a_values", [
+        ([0.5], [1.2]), ([0.2], [0.5]), ([0.5], [math.nan]), ([math.nan], [0.5]),
+        ([0.5, 0.6], [0.4, -0.1, 0.7]),
+    ])
+    def test_region_grid_rejects_points_outside_the_domain(self, c2_values, a_values):
+        with pytest.raises(ParameterOutOfRange):
+            region_grid(c2_values, a_values)
+
+    @pytest.mark.parametrize("a, c2", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_scalar_entry_points_reject_nan(self, a, c2):
+        with pytest.raises(ParameterOutOfRange):
+            feasibility(a, c2)
+        with pytest.raises(ParameterOutOfRange):
+            qutrit_from_params(a, c2)
 
 
 class TestSpherePhysicalFraction:
