@@ -15,6 +15,7 @@ from .exceptions import (
     NotHermitian,
     NotNormalized,
     NotPositiveSemidefinite,
+    NotSquare,
     NotUnitTrace,
     OddDimension,
     OrbitAtlasError,

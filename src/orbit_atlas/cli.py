@@ -1,16 +1,24 @@
 """Command-line frontend.
 
-Subcommands wrap the library for batch use and dataset emission:
+Subcommands wrap the library for batch use and dataset emission.  Each
+takes only the flags listed here and refuses any other; every one also
+takes --output F (default stdout):
 
-    orbit-atlas classify --input state.json
-    orbit-atlas bloch --input state.json --to-vector [--check]
-    orbit-atlas tables 2|...|8|sp [--output file.csv]
-    orbit-atlas qutrit region|fig2|fig3|fraction [flags]
+    orbit-atlas classify --input F [--tol T] [--cluster-tol T]
+    orbit-atlas bloch --input F --to-vector [--convention coherence|bloch]
+                      [--check] [--tol T]
+    orbit-atlas bloch --input F --to-matrix [--check] [--tol T]
+    orbit-atlas tables 2|...|8|sp
+    orbit-atlas qutrit region [--a-steps N]
+    orbit-atlas qutrit fig2|fig3 [--c2 P] [--a-steps N]
+    orbit-atlas qutrit fraction [--n N] [--c2 P] [--samples S] [--seed K] [--tol T]
 
-Exit codes: 0 success, 2 input/parse error (including unknown flags),
-3 domain-validation error.  All runs are deterministic given identical
-inputs and seeds.  The environment variable ORBIT_ATLAS_TOL overrides the
-default validation tolerance; an explicit --tol wins over both.
+Options follow the qutrit kind (``qutrit fig3 --c2 0.6``, not ``qutrit
+--c2 0.6 fig3``).  Exit codes: 0 success, 2 input/parse error (including
+unknown flags and flags the command does not take), 3 domain-validation
+error.  All runs are deterministic given identical inputs and seeds.  The
+environment variable ORBIT_ATLAS_TOL overrides the default validation
+tolerance; an explicit --tol wins over both.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import sys
 import numpy as np
 
 from . import formats, orbits, qutrit, symplectic
-from .exceptions import OrbitAtlasError, ParseError, ValidationError
+from .exceptions import OrbitAtlasError, ParseError
 from .linalg import DEFAULT_TOL, DensityMatrix, purity
 from .orbits import DEFAULT_CLUSTER_TOL
 from .pauli import (
@@ -42,7 +50,10 @@ EXIT_VALIDATION = 3
 EDGE_SNAP = 1e-6
 
 
-def _default_tol() -> float:
+def _tol(args) -> float:
+    """--tol, else ORBIT_ATLAS_TOL, else DEFAULT_TOL."""
+    if args.tol is not None:
+        return args.tol
     env = os.environ.get("ORBIT_ATLAS_TOL")
     if env is None:
         return DEFAULT_TOL
@@ -62,7 +73,7 @@ def _open_output(path):
 
 
 def _emit(args, writer) -> None:
-    fh, owned = _open_output(getattr(args, "output", None))
+    fh, owned = _open_output(args.output)
     try:
         writer(fh)
     finally:
@@ -81,7 +92,7 @@ def _snap(value: float, lo: float, hi: float, name: str) -> float:
 
 
 def cmd_classify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tol(args)
     matrix = formats.parse_matrix_obj(formats.load_json(args.input))
     rho = DensityMatrix(matrix, tol=tol)
     sig = orbits.orbit_signature(rho, cluster_tol=args.cluster_tol)
@@ -103,23 +114,22 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    if args.to_matrix and args.convention is not None:
+        raise ParseError("--convention applies to --to-vector only")
+    tol = _tol(args)
     obj = formats.load_json(args.input)
     if args.to_vector:
-        matrix = formats.parse_matrix_obj(obj)
-        rho = DensityMatrix(matrix, tol=tol)
+        rho = DensityMatrix(formats.parse_matrix_obj(obj), tol=tol)
         vec = to_coherence_vector(rho)
         if args.convention == "bloch":
             vec = convert_convention(vec, Convention.BLOCH)
         out = formats.vector_to_obj(vec)
-        checked = vec
     else:
         vec = formats.parse_vector_obj(obj)
         out = formats.matrix_to_obj(from_coherence_vector(vec))
-        checked = vec
     if args.check:
         physical, smallest = is_physical_vector(
-            convert_convention(checked, Convention.COHERENCE), tol=tol)
+            convert_convention(vec, Convention.COHERENCE), tol=tol)
         out["physical"] = physical
         out["min_eigenvalue"] = float(formats.fmt(smallest))
     _emit(args, lambda fh: formats.dump_json(out, fh))
@@ -127,60 +137,64 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    what = args.what
-    if what == "sp":
+    if args.what == "sp":
         rows = symplectic.table2()
         _emit(args, lambda fh: formats.write_table2_csv(fh, rows))
-        return EXIT_OK
-    try:
-        n = int(what)
-    except ValueError:
-        raise ParseError(f"tables argument must be 2..8 or 'sp', got {what!r}")
-    if not 2 <= n <= 8:
-        raise ParseError(f"tables argument must be 2..8 or 'sp', got {what!r}")
-    rows = orbits.enumerate_orbit_table(n)
-    _emit(args, lambda fh: formats.write_orbit_table_csv(fh, rows))
+    else:
+        rows = orbits.enumerate_orbit_table(int(args.what))
+        _emit(args, lambda fh: formats.write_orbit_table_csv(fh, rows))
     return EXIT_OK
 
 
-def _qutrit_c2(args) -> float:
-    return _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ParseError(f"{flag} must be >= {low}, got {value}")
+    return value
 
 
 def cmd_qutrit(args) -> int:
-    if args.kind != "fraction" and args.a_steps < 1:
-        raise ParseError(f"--a-steps must be >= 1, got {args.a_steps}")
+    if args.kind == "fraction":
+        n = _at_least(args.n, 2, "--n")
+        c2 = _snap(args.c2, 1.0 / n, 1.0, "--c2")
+        samples = _at_least(args.samples, 1, "--samples")
+        frac = qutrit.sphere_physical_fraction(n, c2, samples, args.seed, tol=_tol(args))
+        row = (n, c2, samples, frac, args.seed)
+        _emit(args, lambda fh: formats.write_fractions_csv(fh, [row]))
+        return EXIT_OK
+    steps = _at_least(args.a_steps, 1, "--a-steps")
     if args.kind == "region":
         c2_grid, _ = qutrit.default_region_grid_axes()
-        a_grid = np.linspace(qutrit.A_MIN_CANONICAL, 1.0, args.a_steps)
+        a_grid = np.linspace(qutrit.A_MIN_CANONICAL, 1.0, steps)
         records = qutrit.region_grid(c2_grid, a_grid)
         _emit(args, lambda fh: formats.write_region_csv(fh, records))
         return EXIT_OK
+    c2 = _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")
+    a_grid = qutrit.hermitian_a_grid(c2, steps)
     if args.kind == "fig2":
-        c2 = _qutrit_c2(args)
-        points = qutrit.fig2_curve(c2, qutrit.hermitian_a_grid(c2, args.a_steps))
+        points = qutrit.fig2_curve(c2, a_grid)
         _emit(args, lambda fh: formats.write_fig2_csv(fh, c2, points))
-        return EXIT_OK
-    if args.kind == "fig3":
-        c2 = _qutrit_c2(args)
-        points = qutrit.fig3_curve(c2, qutrit.hermitian_a_grid(c2, args.a_steps))
+    else:
+        points = qutrit.fig3_curve(c2, a_grid)
         _emit(args, lambda fh: formats.write_fig3_csv(fh, c2, points))
-        return EXIT_OK
-    # fraction
-    n = args.n
-    if n < 2:
-        raise ParseError(f"--n must be >= 2, got {n}")
-    c2 = _snap(args.c2, 1.0 / n, 1.0, "--c2")
-    if args.samples < 1:
-        raise ParseError(f"--samples must be >= 1, got {args.samples}")
-    tol = args.tol if args.tol is not None else _default_tol()
-    frac = qutrit.sphere_physical_fraction(n, c2, args.samples, args.seed, tol=tol)
-    row = (n, c2, args.samples, frac, args.seed)
-    _emit(args, lambda fh: formats.write_fractions_csv(fh, [row]))
     return EXIT_OK
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A help-less parent parser declaring one shared flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
+    output = _flag("--output", help="write to this file instead of stdout")
+    tol = _flag("--tol", type=float,
+                help="validation tolerance (default ORBIT_ATLAS_TOL or 1e-9)")
+    input_ = _flag("--input", required=True, help="JSON input file")
+    a_steps = _flag("--a-steps", type=int, default=qutrit.DEFAULT_A_STEPS,
+                    help="number of a-values in the grid")
+    c2 = _flag("--c2", type=float, default=0.5, help="purity Tr(rho^2)")
+
     parser = argparse.ArgumentParser(
         prog="orbit-atlas",
         description="Geometry of finite-dimensional quantum states: orbit "
@@ -188,45 +202,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "feasibility datasets and symplectic orbit bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="orbit classification of one state")
-    p.add_argument("--input", required=True, help="matrix JSON file")
-    p.add_argument("--output", default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="validation tolerance (default ORBIT_ATLAS_TOL or 1e-9)")
+    p = sub.add_parser("classify", parents=[input_, output, tol],
+                       help="orbit classification of one state")
     p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
                    help="eigenvalue degeneracy tolerance")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("bloch", help="convert between matrix and vector forms")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
+    p = sub.add_parser("bloch", parents=[input_, output, tol],
+                       help="convert between matrix and vector forms")
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--to-vector", action="store_true",
                            help="input is a matrix file; emit its vector")
     direction.add_argument("--to-matrix", action="store_true",
                            help="input is a vector file; emit its matrix")
     p.add_argument("--convention", choices=("coherence", "bloch"),
-                   default="coherence", help="scaling of emitted vectors")
+                   help="scaling of the --to-vector output (default coherence)")
     p.add_argument("--check", action="store_true",
                    help="also report positivity and the smallest eigenvalue")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_bloch)
 
-    p = sub.add_parser("tables", help="orbit dimension tables as CSV")
-    p.add_argument("what", help="a dimension 2..8, or 'sp' for the symplectic table")
-    p.add_argument("--output", default=None)
+    p = sub.add_parser("tables", parents=[output], help="orbit dimension tables as CSV")
+    p.add_argument("what", choices=[str(n) for n in range(2, 9)] + ["sp"],
+                   help="a dimension 2..8, or 'sp' for the symplectic table")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("qutrit", help="three-level feasibility datasets")
-    p.add_argument("kind", choices=("region", "fig2", "fig3", "fraction"))
-    p.add_argument("--output", default=None)
-    p.add_argument("--c2", type=float, default=0.5, help="purity Tr(rho^2)")
-    p.add_argument("--a-steps", type=int, default=qutrit.DEFAULT_A_STEPS)
-    p.add_argument("--n", type=int, default=3, help="dimension for 'fraction'")
+    p.set_defaults(func=cmd_qutrit)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("region", parents=[output, a_steps], help="classified (a, c2) grid")
+    kinds.add_parser("fig2", parents=[output, a_steps, c2], help="a + b at fixed purity")
+    kinds.add_parser("fig3", parents=[output, a_steps, c2], help="entropy at fixed purity")
+    p = kinds.add_parser("fraction", parents=[output, tol, c2],
+                         help="Monte Carlo physical fraction of a purity sphere")
+    p.add_argument("--n", type=int, default=3, help="dimension")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_qutrit)
 
     return parser
 
@@ -245,9 +255,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OrbitAtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

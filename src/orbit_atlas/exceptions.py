@@ -29,6 +29,10 @@ class DimensionMismatch(ValidationError):
     """Two operands have incompatible dimensions."""
 
 
+class NotSquare(ValidationError):
+    """Input is not a square numeric matrix (wrong shape, ragged or non-numeric)."""
+
+
 class DimensionOutOfRange(ValidationError):
     """Requested dimension is outside the supported range."""
 

@@ -19,6 +19,7 @@ from .exceptions import (
     NoConvergence,
     NotHermitian,
     NotPositiveSemidefinite,
+    NotSquare,
     NotUnitTrace,
     ParameterOutOfRange,
     ValidationError,
@@ -45,10 +46,14 @@ def check_tolerance(tol: float, name: str = "tolerance") -> float:
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a finite square complex128 array (copy, C-contiguous)."""
-    m = np.array(matrix, dtype=np.complex128, order="C")
+    """Coerce input to a finite square complex128 array (copy, C-contiguous);
+    NotSquare for a ragged, non-numeric or non-square input."""
+    try:
+        m = np.array(matrix, dtype=np.complex128, order="C")
+    except (TypeError, ValueError) as exc:
+        raise NotSquare(f"not a rectangular numeric array: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        raise NotSquare(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
         raise DimensionOutOfRange(
             f"matrix dimension {m.shape[0]} outside [1, {MAX_DIM}]")

@@ -243,6 +243,7 @@ def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
     interior maximum on the ordering curve for c2 <= 1/2.
     """
     a = np.asarray(a_values, dtype=float)
+    _check_domain(a, c2)
     _, _, k, code = _region_kernel(a, c2)
     keep = code != 0  # _CLASS_ORDER[0] is NonHermitian
     return list(zip(a[keep].tolist(), ((1.0 + a + k) / 2.0)[keep].tolist()))
@@ -258,6 +259,7 @@ def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
     the same 0 log 0 = 0 and the same left-to-right sum of three terms.
     """
     a = np.asarray(a_values, dtype=float)
+    _check_domain(a, c2)
     b, c, _, code = _region_kernel(a, c2)
     keep = (code != 0) & ~(c < -K2_SNAP)
     w = np.clip(np.stack([a, b, np.maximum(c, 0.0)])[:, keep], 0.0, 1.0)

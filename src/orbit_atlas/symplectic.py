@@ -141,7 +141,8 @@ def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
     d = np.asarray(diagonal, dtype=float)
     if d.ndim != 1 or d.shape[0] % 2 != 0 or d.shape[0] < 2:
         raise OddDimension(f"expected even-length diagonal, got shape {d.shape}")
-    if d.min() < -1e-9 or d.max() > 1.0 + 1e-9 or abs(d.sum() - 1.0) > 1e-9:
+    # negated, so that a NaN entry, which fails every comparison, is refused
+    if not (d.min() >= -1e-9 and d.max() <= 1.0 + 1e-9 and abs(d.sum() - 1.0) <= 1e-9):
         raise NotNormalized(
             "diagonal entries must lie in [0, 1] and sum to one")
     n = d.shape[0] // 2

@@ -1,10 +1,18 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from orbit_atlas import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUTPUT = ROOT / "demos" / "output"
 
 
 def run_cli(*argv, env_extra=None):
@@ -357,3 +365,84 @@ class TestQutrit:
     def test_bad_c2_exits_2(self):
         assert run_cli("qutrit", "fig3", "--c2", "0.2").returncode == 2
         assert run_cli("qutrit", "fraction", "--n", "3", "--c2", "0.1").returncode == 2
+
+
+def main_stdout(capsys, argv) -> bytes:
+    """stdout of ``cli.main(argv)`` run in process, which must exit 0."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out.encode("utf-8")
+
+
+class TestGoldenOutput:
+    """The CLI prints the committed demos/output bytes."""
+
+    def test_region(self, capsys):
+        out = main_stdout(capsys, ["qutrit", "region"])
+        assert out == (OUTPUT / "region.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    @pytest.mark.parametrize("c2", ["0.40", "0.55", "0.60", "0.80"])
+    def test_figure_curve(self, capsys, kind, c2):
+        out = main_stdout(capsys, ["qutrit", kind, "--c2", c2, "--a-steps", "400"])
+        assert out == (OUTPUT / f"{kind}_c2_{c2}.csv").read_bytes()
+
+    def test_fraction(self, capsys):
+        header, first = (OUTPUT / "fractions.csv").read_bytes().splitlines(keepends=True)[:2]
+        out = main_stdout(capsys, ["qutrit", "fraction", "--n", "3", "--c2", "0.5",
+                                   "--samples", "10000", "--seed", "5"])
+        assert out == header + first
+
+
+#: Flag settings that each command once accepted and never read.
+UNREAD_SETTINGS = [
+    ["qutrit", "region", "--c2", "0.7"],
+    ["qutrit", "region", "--n", "9"],
+    ["qutrit", "region", "--samples", "0"],
+    ["qutrit", "region", "--seed", "1"],
+    ["qutrit", "region", "--tol", "nan"],
+    *([["qutrit", kind, flag, value]
+       for kind in ("fig2", "fig3")
+       for flag, value in (("--n", "3"), ("--samples", "5"), ("--seed", "1"),
+                           ("--tol", "-1"))]),
+    ["qutrit", "fraction", "--a-steps", "0"],
+    ["bloch", "--to-matrix", "--convention", "bloch"],
+]
+#: Options given before the qutrit kind, which only the kind declares.
+OPTIONS_BEFORE_KIND = [
+    ["qutrit", "--c2", "0.6", "fig3"],
+    ["qutrit", "--output", "x.csv", "region"],
+    ["qutrit", "--n", "3", "fraction"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_SETTINGS + OPTIONS_BEFORE_KIND, ids=" ".join)
+def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # where a wrongly accepted --output would write
+    if argv[0] == "bloch":
+        argv = argv + ["--input", write_vector(tmp_path / "v.json", 2, [0.0, 0.0, 0.5])]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def readme_commands() -> list:
+    """Each ``orbit-atlas ...`` line of README's code blocks, split into words."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    return [shlex.split(line, comments=True)
+            for block in blocks for line in block.splitlines()
+            if line.startswith("orbit-atlas ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

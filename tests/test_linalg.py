@@ -8,6 +8,7 @@ from orbit_atlas import (
     DimensionMismatch,
     NotHermitian,
     NotPositiveSemidefinite,
+    NotSquare,
     NotUnitTrace,
     ParameterOutOfRange,
     ValidationError,
@@ -117,6 +118,14 @@ class TestDensityMatrixValidation:
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(ValidationError, match="non-finite"):
             DensityMatrix(m)
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 3)), [[1, 0], [0]],
+                                     [["a", "b"], ["c", "d"]]])
+    def test_rejects_non_square_or_ragged_input(self, bad):
+        for call in (DensityMatrix, hermitian_eigensystem, is_symplectic):
+            with pytest.raises(NotSquare) as info:
+                call(bad)
+            assert isinstance(info.value, ValueError)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_rejects_bad_tolerance(self, tol):

@@ -454,6 +454,13 @@ class TestDomainSurvivesVectorisation:
         with pytest.raises(ParameterOutOfRange):
             qutrit_from_params(a, c2)
 
+    @pytest.mark.parametrize("a, c2", [(math.nan, 0.5), (1.5, 0.5), (0.5, math.nan)])
+    def test_figure_curves_reject_points_outside_the_domain(self, a, c2):
+        with pytest.raises(ParameterOutOfRange):
+            fig2_curve(c2, [0.4, a])
+        with pytest.raises(ParameterOutOfRange):
+            fig3_curve(c2, [0.4, a])
+
 
 class TestSpherePhysicalFraction:
     def test_qubit_sphere_fully_physical(self):

@@ -163,6 +163,11 @@ class TestOrbitBounds:
         with pytest.raises(NotNormalized):
             sp_orbit_bounds([0.5, 0.4, 0.2, 0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(NotNormalized):
+            sp_orbit_bounds([bad, 0.5, 0.25, 0.25])
+
     def test_rejects_nan_tolerance(self):
         # under a NaN tolerance nothing merges and min_bound would read 8, not 0
         with pytest.raises(ParameterOutOfRange):
