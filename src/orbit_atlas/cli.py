@@ -7,7 +7,7 @@ takes --output F (default stdout):
     orbit-atlas classify --input F [--tol T] [--cluster-tol T]
     orbit-atlas bloch --input F --to-vector [--convention coherence|bloch]
                       [--check] [--tol T]
-    orbit-atlas bloch --input F --to-matrix [--check] [--tol T]
+    orbit-atlas bloch --input F --to-matrix [--check [--tol T]]
     orbit-atlas tables 2|...|8|sp
     orbit-atlas qutrit region [--a-steps N]
     orbit-atlas qutrit fig2|fig3 [--c2 P] [--a-steps N]
@@ -116,6 +116,8 @@ def cmd_classify(args) -> int:
 def cmd_bloch(args) -> int:
     if args.to_matrix and args.convention is not None:
         raise ParseError("--convention applies to --to-vector only")
+    if args.to_matrix and args.tol is not None and not args.check:
+        raise ParseError("--tol applies to --to-vector or --check only")
     tol = _tol(args)
     obj = formats.load_json(args.input)
     if args.to_vector:
@@ -157,8 +159,9 @@ def cmd_qutrit(args) -> int:
         n = _at_least(args.n, 2, "--n")
         c2 = _snap(args.c2, 1.0 / n, 1.0, "--c2")
         samples = _at_least(args.samples, 1, "--samples")
-        frac = qutrit.sphere_physical_fraction(n, c2, samples, args.seed, tol=_tol(args))
-        row = (n, c2, samples, frac, args.seed)
+        seed = _at_least(args.seed, 0, "--seed")
+        frac = qutrit.sphere_physical_fraction(n, c2, samples, seed, tol=_tol(args))
+        row = (n, c2, samples, frac, seed)
         _emit(args, lambda fh: formats.write_fractions_csv(fh, [row]))
         return EXIT_OK
     steps = _at_least(args.a_steps, 1, "--a-steps")

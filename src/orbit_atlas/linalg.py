@@ -9,6 +9,7 @@ function over immutable values, so the module is safe for concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,21 @@ def check_tolerance(tol: float, name: str = "tolerance") -> float:
     return tol
 
 
+def _check_int(value, name: str, lo: int, hi: float = math.inf,
+               error: type = ParameterOutOfRange) -> int:
+    """``value`` as an int; ``error`` unless it is an integer in [lo, hi]."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise error(f"{name} {value} outside [{lo}, {hi}]")
+    return int(value)
+
+
+def _check_dim(n) -> int:
+    """``n`` as an int; DimensionOutOfRange unless it is in [1, MAX_DIM]."""
+    return _check_int(n, "matrix dimension", 1, MAX_DIM, DimensionOutOfRange)
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce input to a finite square complex128 array (copy, C-contiguous);
     NotSquare for a ragged, non-numeric or non-square input."""
@@ -54,9 +70,7 @@ def as_complex_matrix(matrix) -> np.ndarray:
         raise NotSquare(f"not a rectangular numeric array: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
-        raise DimensionOutOfRange(
-            f"matrix dimension {m.shape[0]} outside [1, {MAX_DIM}]")
+    _check_dim(m.shape[0])
     if not np.isfinite(m).all():
         raise ValidationError("matrix has a non-finite (NaN or infinite) entry")
     return m
@@ -79,18 +93,25 @@ class EigenSystem(NamedTuple):
     residual: float
 
 
+def _hermitian(matrix, tol: float) -> tuple[np.ndarray, float]:
+    """``(m, tol)``: ``matrix`` as a complex array and the checked ``tol``;
+    NotHermitian when the hermiticity defect of ``m`` exceeds ``tol``."""
+    tol = check_tolerance(tol)
+    m = as_complex_matrix(matrix)
+    defect = hermiticity_defect(m)
+    if defect > tol:
+        raise NotHermitian(
+            f"hermiticity violated: max |M - M^dag| = {defect:.3e} > {tol:.3e}")
+    return m, tol
+
+
 def hermitian_eigensystem(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitian when the symmetry defect exceeds ``tol`` and
     NoConvergence when the solver cannot meet its residual budget.
     """
-    tol = check_tolerance(tol)
-    h = as_complex_matrix(matrix)
-    defect = hermiticity_defect(h)
-    if defect > tol:
-        raise NotHermitian(
-            f"hermiticity violated: max |H - H^dag| = {defect:.3e} > {tol:.3e}")
+    h, tol = _hermitian(matrix, tol)
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
@@ -130,12 +151,7 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_spectrum", "_tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        tol = check_tolerance(tol)
-        m = as_complex_matrix(matrix)
-        defect = hermiticity_defect(m)
-        if defect > tol:
-            raise NotHermitian(
-                f"hermiticity violated: max |M - M^dag| = {defect:.3e} > {tol:.3e}")
+        m, tol = _hermitian(matrix, tol)
         trace_dev = abs(m.trace() - 1.0)
         if trace_dev > tol:
             raise NotUnitTrace(
@@ -189,18 +205,12 @@ def trace_invariants(rho: DensityMatrix) -> np.ndarray:
 
 def unitarily_equivalent(rho1: DensityMatrix, rho2: DensityMatrix,
                          tol: float = DEFAULT_TOL) -> bool:
-    """Whether two states lie on the same conjugation orbit.
-
-    Equivalent to spectrum comparison: true iff all n trace invariants
-    agree within ``tol``.
-    """
+    """Whether two states lie on the same conjugation orbit: their stored
+    nonincreasing spectra agree entrywise within ``tol``."""
     tol = check_tolerance(tol)
     if rho1.dim != rho2.dim:
-        raise DimensionMismatch(
-            f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    t1 = trace_invariants(rho1)
-    t2 = trace_invariants(rho2)
-    return bool(np.abs(t1 - t2).max() <= tol)
+        raise DimensionMismatch(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    return bool(np.abs(rho1._spectrum - rho2._spectrum).max() <= tol)
 
 
 def convex_path(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -223,6 +233,7 @@ def _as_rng(seed) -> np.random.Generator:
 
 def random_unitary(n: int, seed=None) -> np.ndarray:
     """Haar-distributed unitary from the QR of a complex Gaussian matrix."""
+    n = _check_dim(n)
     rng = _as_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
@@ -235,6 +246,7 @@ def random_unitary(n: int, seed=None) -> np.ndarray:
 def random_density_matrix(n: int, seed=None,
                           tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Random full-rank state: G G^dag normalized to unit trace."""
+    n = _check_dim(n)
     rng = _as_rng(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T

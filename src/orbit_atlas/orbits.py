@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import AmbiguousClustering, DimensionMismatch, DimensionOutOfRange
-from .linalg import DEFAULT_TOL, DensityMatrix, check_tolerance
+from .exceptions import AmbiguousClustering, DimensionOutOfRange
+from .linalg import (DEFAULT_TOL, DensityMatrix, _check_int, check_tolerance,
+                     unitarily_equivalent)
 
 #: Default eigenvalue clustering tolerance for degeneracy detection.
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -46,25 +47,41 @@ class OrbitSignature:
         return len(self.distinct_values)
 
 
+def _flag_dimension(mults) -> int:
+    """Real dimension n^2 - sum(m^2), n = sum(m), of the flag manifold
+    U(n)/[U(m_1) x ... x U(m_r)]."""
+    return sum(mults) ** 2 - sum(m * m for m in mults)
+
+
+def _is_projective(mults) -> bool:
+    """Whether the multiplicity pattern is {1, n-1}, n = sum(m): the flag
+    manifold is then CP^(n-1)."""
+    return sorted(mults) == [1, sum(mults) - 1]
+
+
 def _classify(n: int, values: tuple, mults: tuple,
               cluster_tol: float) -> StateClass:
-    r = len(values)
-    if r == 1:
+    """Class of a clustered spectrum; ``values`` are nonincreasing."""
+    if len(values) == 1:
         return StateClass.COMPLETELY_RANDOM
-    if r == 2 and sorted(mults) == [1, n - 1]:
-        hi = values[0] if mults[0] == 1 else values[1]
-        lo = values[1] if mults[0] == 1 else values[0]
-        if abs(hi - 1.0) <= cluster_tol and abs(lo) <= cluster_tol:
+    if _is_projective(mults):
+        if abs(values[0] - 1.0) <= cluster_tol and abs(values[1]) <= cluster_tol:
             return StateClass.PURE
         return StateClass.PSEUDO_PURE
-    if r == n:
+    if len(values) == n:
         return StateClass.GENERIC
     return StateClass.OTHER_DEGENERATE
 
 
 def cluster_spectrum(values, tol: float) -> list[list[float]]:
     """Single-linkage clusters of the values sorted nonincreasing: a new
-    cluster (a list of floats) starts wherever a gap exceeds ``tol``."""
+    cluster (a list of floats) starts wherever a gap exceeds ``tol``.
+
+    Raises AmbiguousClustering when the result is tolerance sensitive: two
+    cluster means within ``2 * tol``, or one cluster wider (largest member
+    minus smallest) than ``tol``, i.e. single linkage chained it.
+    """
+    tol = check_tolerance(tol)
     w = sorted(np.asarray(values, dtype=float).tolist(), reverse=True)
     clusters = [[w[0]]]
     for x in w[1:]:
@@ -72,6 +89,15 @@ def cluster_spectrum(values, tol: float) -> list[list[float]]:
             clusters[-1].append(x)
         else:
             clusters.append([x])
+    # plain float means: np.mean costs microseconds per call, once per cluster
+    means = [sum(c) / len(c) for c in clusters]
+    for a, b in zip(means, means[1:]):
+        if a - b <= 2.0 * tol:
+            raise AmbiguousClustering(
+                f"cluster means {a} and {b} are within 2*tol={2.0 * tol}")
+    spread = max(c[0] - c[-1] for c in clusters)
+    if spread > tol:
+        raise AmbiguousClustering(f"a cluster spreads over {spread:.3e} > tol={tol}")
     return clusters
 
 
@@ -79,24 +105,15 @@ def orbit_signature(rho: DensityMatrix,
                     cluster_tol: float = DEFAULT_CLUSTER_TOL) -> OrbitSignature:
     """Cluster the spectrum into degeneracy groups.
 
-    ``cluster_spectrum`` of the eigenvalues at ``cluster_tol``.  Raises
-    AmbiguousClustering when the result is tolerance sensitive: two cluster
-    means within ``2 * cluster_tol``, or one cluster wider (largest member
-    minus smallest) than ``cluster_tol``, i.e. single linkage chained it.
+    ``cluster_spectrum`` of the eigenvalues at ``cluster_tol``; its
+    AmbiguousClustering verdict (two cluster means within
+    ``2 * cluster_tol``, or a chained cluster wider than ``cluster_tol``)
+    propagates.  Distinct values are the cluster means.
     """
     cluster_tol = check_tolerance(cluster_tol, "cluster_tol")
     clusters = cluster_spectrum(rho.eigenvalues(), cluster_tol)
     values = tuple(float(np.mean(c)) for c in clusters)
     mults = tuple(len(c) for c in clusters)
-    for a, b in zip(values, values[1:]):
-        if a - b <= 2.0 * cluster_tol:
-            raise AmbiguousClustering(
-                f"cluster means {a} and {b} are within 2*cluster_tol="
-                f"{2.0 * cluster_tol}")
-    spread = max(c[0] - c[-1] for c in clusters)
-    if spread > cluster_tol:
-        raise AmbiguousClustering(
-            f"a cluster spreads over {spread:.3e} > cluster_tol={cluster_tol}")
     return OrbitSignature(
         dim=rho.dim, distinct_values=values, multiplicities=mults,
         cluster_tol=cluster_tol,
@@ -105,7 +122,7 @@ def orbit_signature(rho: DensityMatrix,
 
 def orbit_dimension(sig: OrbitSignature) -> int:
     """Real dimension n^2 - sum(n_i^2) of the orbit manifold."""
-    return sig.dim ** 2 - sum(m * m for m in sig.multiplicities)
+    return _flag_dimension(sig.multiplicities)
 
 
 def _manifold_label(n: int, mults) -> str:
@@ -122,7 +139,7 @@ def flag_manifold_name(sig: OrbitSignature) -> str:
     pattern {1, n-1} carry the complex-projective-space annotation.
     """
     label = _manifold_label(sig.dim, sig.multiplicities)
-    if len(sig.multiplicities) == 2 and sorted(sig.multiplicities) == [1, sig.dim - 1]:
+    if _is_projective(sig.multiplicities):
         label += f" = CP^{sig.dim - 1}"
     return label
 
@@ -142,16 +159,12 @@ def majorize_compare(rho1: DensityMatrix, rho2: DensityMatrix,
     orientation of the worked three-level example (1,1,3)/5 < (2,2,1)/5:
     LESS when every partial sum of rho1 is at most the matching sum of rho2
     within ``tol``, with at least one falling short by more than ``tol``.
-    Conflicting strict comparisons give INCOMPARABLE.
+    Conflicting strict comparisons give INCOMPARABLE, and unitarily
+    equivalent states (``linalg.unitarily_equivalent``) EQUAL.
     """
-    tol = check_tolerance(tol)
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    a = np.sort(rho1.eigenvalues())
-    b = np.sort(rho2.eigenvalues())
-    if np.abs(a - b).max() <= tol:
+    if unitarily_equivalent(rho1, rho2, tol):
         return MajorizationResult.EQUAL
-    d = np.cumsum(a) - np.cumsum(b)
+    d = np.cumsum(rho1.eigenvalues()[::-1]) - np.cumsum(rho2.eigenvalues()[::-1])
     below = bool((d < -tol).any())
     above = bool((d > tol).any())
     if below and above:
@@ -204,15 +217,8 @@ def enumerate_orbit_table(n: int) -> list[OrbitTableRow]:
     Labels use U(1) factors where published tables write S^1; the two
     notations name the same group.
     """
-    if not 2 <= n <= 8:
-        raise DimensionOutOfRange(f"orbit table defined for 2 <= n <= 8, got {n}")
-    rows = [
-        OrbitTableRow(
-            partition=p,
-            manifold=_manifold_label(n, p),
-            dimension=n * n - sum(m * m for m in p),
-        )
-        for p in _partitions(n)
-    ]
+    n = _check_int(n, "orbit table dimension", 2, 8, DimensionOutOfRange)
+    rows = [OrbitTableRow(p, _manifold_label(n, p), _flag_dimension(p))
+            for p in _partitions(n)]
     rows.sort(key=lambda row: (row.dimension, row.partition))
     return rows

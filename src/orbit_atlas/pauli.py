@@ -31,7 +31,7 @@ from math import sqrt
 import numpy as np
 
 from .exceptions import DimensionOutOfRange, LengthMismatch, ValidationError
-from .linalg import DEFAULT_TOL, MAX_DIM, DensityMatrix, positivity_test
+from .linalg import DEFAULT_TOL, MAX_DIM, DensityMatrix, _check_int, positivity_test
 
 MIN_BASIS_DIM = 2
 MAX_BASIS_DIM = 16  # dense basis: (n^2 - 1) n^2 entries, 268 MB at n = 64
@@ -124,22 +124,21 @@ def _traceless(comps, n: int) -> np.ndarray:
     return out.reshape(comps.shape[:-1] + (n, n))
 
 
-def _check_dense_dim(n: int) -> None:
-    """Refuse a dimension outside [2, MAX_BASIS_DIM] for the dense paths."""
-    if not MIN_BASIS_DIM <= n <= MAX_BASIS_DIM:
-        raise DimensionOutOfRange(
-            f"basis dimension {n} outside [{MIN_BASIS_DIM}, {MAX_BASIS_DIM}]")
+def _check_dense_dim(n: int) -> int:
+    """``n`` as an int; DimensionOutOfRange unless it is an integer in
+    [2, MAX_BASIS_DIM], the range of the dense paths."""
+    return _check_int(n, "basis dimension", MIN_BASIS_DIM, MAX_BASIS_DIM, DimensionOutOfRange)
 
 
 def generate_basis(n: int) -> PauliBasis:
     """Orthonormal traceless Hermitian basis for dimension n (2 <= n <= 16),
     as dense read-only matrices."""
-    _check_dense_dim(n)
+    n = _check_dense_dim(n)
     stack = _traceless(np.eye(n * n - 1), n)
     identity = np.eye(n, dtype=np.complex128) / sqrt(n)
     for a in (stack, identity):
         a.setflags(write=False)
-    return PauliBasis(dim=int(n), elements=tuple(stack), identity_element=identity)
+    return PauliBasis(dim=n, elements=tuple(stack), identity_element=identity)
 
 
 def to_coherence_vector(rho: DensityMatrix) -> CoherenceVector:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterOutOfRange
-from .linalg import DEFAULT_TOL, positivity_test
+from .linalg import DEFAULT_TOL, _check_int, positivity_test
 from .pauli import _check_dense_dim, _traceless
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
@@ -48,6 +48,9 @@ K2_SNAP = 1e-12
 BOUNDARY_TOL = 1e-10
 
 A_MIN_CANONICAL = 1.0 / 3.0
+
+#: Samples the Monte Carlo sampler draws, assembles and tests at a time.
+MC_CHUNK = 4096
 
 
 class RegionClass(enum.Enum):
@@ -193,6 +196,7 @@ def hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
     The range is [(1 - K1)/3, (1 + K1)/3] clipped into [0, 1]; at c2 = 1/3
     it is the single point 1/3 and the grid has one entry.
     """
+    steps = _check_int(steps, "steps", 1)
     k1 = feasible_interval(c2).K1
     lo, hi = max((1.0 - k1) / 3.0, 0.0), min((1.0 + k1) / 3.0, 1.0)
     return np.linspace(lo, hi, 1 if hi - lo < 1e-15 else steps)
@@ -276,18 +280,23 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     Draws ``samples`` uniform directions on the unit sphere in R^(n^2 - 1)
     (normalized Gaussians), scales them to radius sqrt(c2 - 1/n) and tests
     positivity of the reconstructed matrices.  Deterministic per ``seed``.
-    The matrices are held as one dense (samples, n, n) stack, so n <= 16.
+    The samples stream through in chunks of ``MC_CHUNK`` drawn one after
+    another from one generator, so memory is bounded by one chunk whatever
+    ``samples`` is, and the result is that of one monolithic draw.  The
+    chunk is a dense (MC_CHUNK, n, n) stack, so n <= 16.
     """
-    _check_dense_dim(n)
-    if samples < 1:
-        raise ParameterOutOfRange(f"samples must be >= 1, got {samples}")
+    n = _check_dense_dim(n)
+    samples = _check_int(samples, "samples", 1)
     if not 1.0 / n < c2 <= 1.0 + 1e-12:
         raise ParameterOutOfRange(f"c2={c2} outside (1/{n}, 1]")
     radius = math.sqrt(c2 - 1.0 / n)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((samples, n * n - 1))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0  # measure-zero guard
-    vecs = g * (radius / norms)[:, None]
-    mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
-    return float(np.mean(positivity_test(mats, tol)[0]))
+    hits = 0
+    for start in range(0, samples, MC_CHUNK):
+        g = rng.standard_normal((min(MC_CHUNK, samples - start), n * n - 1))
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0.0] = 1.0  # measure-zero guard
+        vecs = g * (radius / norms)[:, None]
+        mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
+        hits += int(np.count_nonzero(positivity_test(mats, tol)[0]))
+    return hits / samples

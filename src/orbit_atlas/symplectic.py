@@ -30,16 +30,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import LengthMismatch, NotNormalized, OddDimension
-from .linalg import _as_rng, as_complex_matrix, check_tolerance, hermitian_eigensystem
-from .orbits import cluster_spectrum
+from .linalg import (_as_rng, _check_int, as_complex_matrix, check_tolerance,
+                     hermitian_eigensystem)
+from .orbits import _flag_dimension, _is_projective, cluster_spectrum
 
 _GROUP_TOL = 1e-12
 
 
 def standard_J(n: int) -> np.ndarray:
     """The 2n x 2n skew form [[0, I], [-I, 0]]; J^2 = -I and J^T = -J."""
-    if n < 1:
-        raise OddDimension(f"half-dimension must be >= 1, got {n}")
+    n = _check_int(n, "half-dimension", 1, error=OddDimension)
     j = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
@@ -82,8 +82,7 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     [[A, B], [-conj(B), conj(A)]] with A anti-Hermitian and B symmetric,
     and exponentiated as V diag(exp(iw)) V^dag from eigh of -iX (n <= 32).
     """
-    if n < 1:
-        raise OddDimension(f"half-dimension must be >= 1, got {n}")
+    n = _check_int(n, "half-dimension", 1, error=OddDimension)
     rng = _as_rng(seed)
     g = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
     a = (g[:n, :n] + g[n:, n:].conj()) / 2.0
@@ -135,7 +134,10 @@ def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
 
     The diagonal is used as ordered; rearrangements with equal spectra can
     produce different reports.  Entries must lie in [0, 1] and sum to one
-    within 1e-9.
+    within 1e-9.  Ties are ``cluster_spectrum``'s clusters at ``tol``, so
+    AmbiguousClustering is raised when they are tolerance sensitive: a
+    chain of entries each within ``tol`` of the next but wider than it, or
+    two clusters whose means are within ``2 * tol``.
     """
     tol = check_tolerance(tol)
     d = np.asarray(diagonal, dtype=float)
@@ -149,12 +151,10 @@ def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
     dim = 2 * n
 
     mults = [len(c) for c in cluster_spectrum(d, tol)]
-    unitary_dim = dim * dim - sum(m * m for m in mults)
-    uniform = len(mults) == 1
-    pseudo_pure = len(mults) == 2 and sorted(mults) == [1, dim - 1]
+    unitary_dim = _flag_dimension(mults)
 
     rules = []
-    if uniform or pseudo_pure:
+    if len(mults) == 1 or _is_projective(mults):
         rules.append(SpRule(SpRuleKind.TRANSITIVE, unitary_dim, True))
     rules.append(SpRule(SpRuleKind.GENERIC_TORUS, 2 * n * n, False))
 

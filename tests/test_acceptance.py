@@ -243,7 +243,7 @@ def test_criterion_09_equivalence_cross_check():
         ok = ok and not unitarily_equivalent(rho1, rho2, tol=tol)
         ok = ok and not spectra_match(rho1, rho2)
 
-    _criterion(9, "trace-invariant equivalence agrees with sorted-spectrum "
+    _criterion(9, "unitary equivalence agrees with sorted-spectrum "
                   "equivalence on 500 conjugate + 500 perturbed pairs", ok)
 
 

@@ -408,6 +408,11 @@ UNREAD_SETTINGS = [
                            ("--tol", "-1"))]),
     ["qutrit", "fraction", "--a-steps", "0"],
     ["bloch", "--to-matrix", "--convention", "bloch"],
+    ["bloch", "--to-matrix", "--tol", "nan"],
+]
+#: Flag values a command reads but cannot use.
+BAD_VALUES = [
+    ["qutrit", "fraction", "--seed", "-1"],
 ]
 #: Options given before the qutrit kind, which only the kind declares.
 OPTIONS_BEFORE_KIND = [
@@ -417,7 +422,8 @@ OPTIONS_BEFORE_KIND = [
 ]
 
 
-@pytest.mark.parametrize("argv", UNREAD_SETTINGS + OPTIONS_BEFORE_KIND, ids=" ".join)
+@pytest.mark.parametrize("argv", UNREAD_SETTINGS + OPTIONS_BEFORE_KIND + BAD_VALUES,
+                         ids=" ".join)
 def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)  # where a wrongly accepted --output would write
     if argv[0] == "bloch":
@@ -426,6 +432,11 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, arg
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
+
+
+def test_negative_seed_is_a_parse_error(capsys):
+    assert cli.main(["qutrit", "fraction", "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
 
 
 def readme_commands() -> list:

@@ -6,25 +6,34 @@ import pytest
 from orbit_atlas import (
     DensityMatrix,
     DimensionMismatch,
+    DimensionOutOfRange,
     NotHermitian,
     NotPositiveSemidefinite,
     NotSquare,
     NotUnitTrace,
+    OddDimension,
     ParameterOutOfRange,
     ValidationError,
     cli,
     convex_path,
+    enumerate_orbit_table,
+    generate_basis,
     hermitian_eigensystem,
     has_sp_block_form,
     is_symplectic,
     majorize_compare,
+    orbit_signature,
     purity,
     random_density_matrix,
+    random_symplectic,
     random_unitary,
+    sphere_physical_fraction,
+    standard_J,
     trace_invariants,
     unitarily_equivalent,
 )
 from orbit_atlas.linalg import positivity_test
+from orbit_atlas.qutrit import hermitian_a_grid
 
 
 def charpoly_roots_by_bisection(h, n_roots, lo=None, hi=None, tol=1e-12):
@@ -223,6 +232,14 @@ class TestUnitaryEquivalence:
         rho2 = DensityMatrix(np.diag([a, a, b, b]))
         assert unitarily_equivalent(rho1, rho2)
 
+    def test_spectra_apart_beyond_tol_are_not_equivalent(self):
+        # the first three power sums agree within 1e-9, but the spectra are
+        # 1e-5 apart and the two states fall in different orbit classes
+        rho1 = DensityMatrix(np.diag([0.5, 0.25 + 1e-5, 0.25 - 1e-5]))
+        rho2 = DensityMatrix(np.diag([0.5, 0.25, 0.25]))
+        assert orbit_signature(rho1).state_class is not orbit_signature(rho2).state_class
+        assert not unitarily_equivalent(rho1, rho2)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             unitarily_equivalent(
@@ -288,6 +305,35 @@ TOLERANCE_TAKERS = {
 def test_bad_tolerance_is_refused(name, tol):
     with pytest.raises(ParameterOutOfRange, match="finite and nonnegative"):
         TOLERANCE_TAKERS[name](tol)
+
+
+#: Calls with a bad integer parameter, each with the error it must raise:
+#: DimensionOutOfRange for a dimension, OddDimension for a half-dimension and
+#: ParameterOutOfRange for a count.
+BAD_INTEGERS = {
+    "random_unitary(-1)": (lambda: random_unitary(-1), DimensionOutOfRange),
+    "random_unitary(0)": (lambda: random_unitary(0), DimensionOutOfRange),
+    "random_unitary(2.0)": (lambda: random_unitary(2.0), DimensionOutOfRange),
+    "random_density_matrix(-1)": (lambda: random_density_matrix(-1), DimensionOutOfRange),
+    "hermitian_a_grid(0.5, -3)": (lambda: hermitian_a_grid(0.5, -3), ParameterOutOfRange),
+    "hermitian_a_grid(0.5, 2.5)": (lambda: hermitian_a_grid(0.5, 2.5), ParameterOutOfRange),
+    "sphere_physical_fraction(3, 0.5, 2.5, 0)": (
+        lambda: sphere_physical_fraction(3, 0.5, 2.5, 0), ParameterOutOfRange),
+    "sphere_physical_fraction(3.0, 0.5, 10, 0)": (
+        lambda: sphere_physical_fraction(3.0, 0.5, 10, 0), DimensionOutOfRange),
+    "enumerate_orbit_table(3.5)": (lambda: enumerate_orbit_table(3.5), DimensionOutOfRange),
+    "standard_J(2.5)": (lambda: standard_J(2.5), OddDimension),
+    "standard_J(0)": (lambda: standard_J(0), OddDimension),
+    "random_symplectic(2.5)": (lambda: random_symplectic(2.5), OddDimension),
+    "generate_basis(3.0)": (lambda: generate_basis(3.0), DimensionOutOfRange),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGERS))
+def test_bad_integer_parameter_is_refused(name):
+    call, error = BAD_INTEGERS[name]
+    with pytest.raises(error):
+        call()
 
 
 def test_purity_matches_squared_spectrum():

@@ -20,6 +20,7 @@ from orbit_atlas import (
     random_density_matrix,
     random_unitary,
     sp_orbit_bounds,
+    unitarily_equivalent,
     von_neumann_entropy,
 )
 from orbit_atlas.orbits import _partitions, cluster_spectrum
@@ -263,3 +264,22 @@ class TestOrbitTable:
     def test_row_count_is_partition_count(self):
         assert len(enumerate_orbit_table(4)) == 5
         assert len(enumerate_orbit_table(6)) == 11
+
+
+class TestEquivalenceIsSpectrumEquality:
+    @settings(max_examples=100)
+    @given(weights=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           tol=st.sampled_from([1e-9, 1e-6, 1e-3]), shift=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equivalent_iff_spectra_within_tol(self, weights, tol, shift, seed):
+        d1 = normalized(weights)
+        d2 = d1.copy()
+        d2[0] += shift * tol
+        d2[-1] -= shift * tol
+        u = random_unitary(len(d1), seed)
+        rho1 = DensityMatrix(np.diag(d1))
+        rho2 = DensityMatrix((u * d2[None, :]) @ u.conj().T)
+        gap = np.abs(rho1.eigenvalues() - rho2.eigenvalues()).max()
+        assert unitarily_equivalent(rho1, rho2, tol) == (gap <= tol)
+        if gap <= tol:
+            assert majorize_compare(rho1, rho2, tol) is MajorizationResult.EQUAL

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from orbit_atlas import (
     region_grid,
     sphere_physical_fraction,
 )
+from orbit_atlas.linalg import positivity_test
 from orbit_atlas.orbits import entropy_of_spectrum
-from orbit_atlas.pauli import CoherenceVector
+from orbit_atlas.pauli import CoherenceVector, _traceless
 from orbit_atlas.qutrit import (
     BOUNDARY_TOL,
     K2_SNAP,
+    MC_CHUNK,
     QutritRegionPoint,
     RegionRecord,
     dashdot_curve,
@@ -498,3 +501,35 @@ class TestSpherePhysicalFraction:
             sphere_physical_fraction(3, 1 / 3, 10, seed=0)
         with pytest.raises(ParameterOutOfRange):
             sphere_physical_fraction(3, 0.5, 0, seed=0)
+
+
+def monolithic_fraction(n, c2, samples, seed):
+    """The sampler in one piece: one draw of every direction, one stack of
+    every matrix and one positivity test."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((samples, n * n - 1))
+    vecs = g * (math.sqrt(c2 - 1 / n) / np.linalg.norm(g, axis=1))[:, None]
+    mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
+    return float(np.mean(positivity_test(mats)[0]))
+
+
+class TestStreamedMonteCarlo:
+    @pytest.mark.parametrize("samples", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1,
+                                         3 * MC_CHUNK + 5])
+    @pytest.mark.parametrize("n, c2", [(3, 0.6), (8, 0.18)])
+    def test_chunks_give_the_monolithic_result(self, n, c2, samples):
+        frac = sphere_physical_fraction(n, c2, samples, seed=samples)
+        assert 0.0 < frac < 1.0
+        assert frac == monolithic_fraction(n, c2, samples, seed=samples)
+
+    def test_memory_does_not_grow_with_samples(self):
+        peaks = []
+        for samples in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                sphere_physical_fraction(16, 0.085, samples, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 100 * 2 ** 20

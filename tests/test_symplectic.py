@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbit_atlas import (
+    AmbiguousClustering,
     LengthMismatch,
     NotNormalized,
     OddDimension,
@@ -176,6 +177,39 @@ class TestOrbitBounds:
     def test_rejects_odd_length(self):
         with pytest.raises(OddDimension):
             sp_orbit_bounds([0.5, 0.3, 0.2])
+
+    def test_rejects_chained_ties(self):
+        # neighbours 9e-13 apart chain into one cluster 1.8e-12 wide, and the
+        # two exact rules would disagree: Transitive 0, ScalarHalves 6
+        with pytest.raises(AmbiguousClustering):
+            sp_orbit_bounds([0.25 - 9e-13, 0.25, 0.25 + 9e-13, 0.25])
+
+
+#: sp_orbit_bounds' default tie tolerance.
+SP_TOL = 1e-12
+
+
+class TestPlantedTies:
+    @settings(max_examples=200)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_exact_rules_agree_and_chains_are_refused(self, n, data):
+        # a few levels, so ties are planted; each entry is nudged off its
+        # level by -0.9, 0 or 0.9 times the tolerance.  A level nudged both
+        # ways is ambiguous: with a zero nudge it chains into one cluster
+        # wider than the tolerance, without one it splits into two clusters
+        # whose means are within twice the tolerance.
+        levels = data.draw(st.lists(st.integers(1, 3), min_size=2 * n, max_size=2 * n))
+        nudges = data.draw(st.lists(st.sampled_from([-0.9, 0.0, 0.9]),
+                                    min_size=2 * n, max_size=2 * n))
+        d = np.asarray(levels, dtype=float) / sum(levels) + SP_TOL * np.asarray(nudges)
+        ambiguous = any({-0.9, 0.9} <= {v for lv, v in zip(levels, nudges) if lv == level}
+                        for level in set(levels))
+        if ambiguous:
+            with pytest.raises(AmbiguousClustering):
+                sp_orbit_bounds(d)
+            return
+        report = sp_orbit_bounds(d)
+        assert len({r.bound for r in report.rules if r.exact}) <= 1
 
 
 class TestTable2:
