@@ -39,7 +39,8 @@ print("  pattern          U(2n)  published  computed  exact")
 for row in table2():
     print(f"  {row.pattern:<15} {row.unitary_dim:>5} {row.paper_bound:>10} "
           f"{row.computed_bound:>9}  {row.exact}")
-print("  (a,b,c,c at N=4: the trailing-block rule tightens the published 8 to 7)")
+print("  (a,b,c,c, a,a,b,b,b,b and a,b,c,c,c,c: the trailing-block rule is no")
+print("   bound here; the true dimensions are 8, 14 and 16)")
 
 print("\nThe symplectic orbit depends on the arrangement, not just the spectrum:")
 for diag in ([0.3, 0.2, 0.3, 0.2], [0.3, 0.3, 0.2, 0.2]):

@@ -27,8 +27,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import formats, orbits, qutrit, symplectic
 from .exceptions import OrbitAtlasError, ParseError
 from .linalg import DEFAULT_TOL, DensityMatrix, purity
@@ -166,9 +164,7 @@ def cmd_qutrit(args) -> int:
         return EXIT_OK
     steps = _at_least(args.a_steps, 1, "--a-steps")
     if args.kind == "region":
-        c2_grid, _ = qutrit.default_region_grid_axes()
-        a_grid = np.linspace(qutrit.A_MIN_CANONICAL, 1.0, steps)
-        records = qutrit.region_grid(c2_grid, a_grid)
+        records = qutrit.region_grid(*qutrit.default_region_grid_axes(steps))
         _emit(args, lambda fh: formats.write_region_csv(fh, records))
         return EXIT_OK
     c2 = _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")

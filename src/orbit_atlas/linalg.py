@@ -226,9 +226,11 @@ def convex_path(rho1: DensityMatrix, rho2: DensityMatrix,
 
 
 def _as_rng(seed) -> np.random.Generator:
+    """``seed`` itself if it is a Generator, else a new one seeded by None or
+    an integer >= 0; ParameterOutOfRange for any other seed."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(None if seed is None else _check_int(seed, "seed", 0))
 
 
 def random_unitary(n: int, seed=None) -> np.ndarray:

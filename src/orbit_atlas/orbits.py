@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import AmbiguousClustering, DimensionOutOfRange
+from .exceptions import AmbiguousClustering, DimensionOutOfRange, ValidationError
 from .linalg import (DEFAULT_TOL, DensityMatrix, _check_int, check_tolerance,
                      unitarily_equivalent)
 
@@ -77,12 +77,16 @@ def cluster_spectrum(values, tol: float) -> list[list[float]]:
     """Single-linkage clusters of the values sorted nonincreasing: a new
     cluster (a list of floats) starts wherever a gap exceeds ``tol``.
 
-    Raises AmbiguousClustering when the result is tolerance sensitive: two
+    Raises ValidationError for an empty or non-finite input, and
+    AmbiguousClustering when the result is tolerance sensitive: two
     cluster means within ``2 * tol``, or one cluster wider (largest member
     minus smallest) than ``tol``, i.e. single linkage chained it.
     """
     tol = check_tolerance(tol)
-    w = sorted(np.asarray(values, dtype=float).tolist(), reverse=True)
+    w = np.asarray(values, dtype=float)
+    if w.size == 0 or not np.isfinite(w).all():
+        raise ValidationError("cannot cluster an empty or non-finite spectrum")
+    w = sorted(w.tolist(), reverse=True)
     clusters = [[w[0]]]
     for x in w[1:]:
         if clusters[-1][-1] - x <= tol:

@@ -65,10 +65,8 @@ class CoherenceVector:
     convention: Convention = Convention.COHERENCE
 
     def __post_init__(self):
-        if not MIN_BASIS_DIM <= self.dim <= MAX_DIM:
-            raise DimensionOutOfRange(
-                f"coherence vector dimension {self.dim} outside "
-                f"[{MIN_BASIS_DIM}, {MAX_DIM}]")
+        _check_int(self.dim, "coherence vector dimension", MIN_BASIS_DIM, MAX_DIM,
+                   DimensionOutOfRange)
         comps = np.array(self.components, dtype=float)
         expected = self.dim * self.dim - 1
         if comps.ndim != 1 or comps.shape[0] != expected:

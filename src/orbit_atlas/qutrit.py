@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterOutOfRange
-from .linalg import DEFAULT_TOL, _check_int, positivity_test
+from .linalg import DEFAULT_TOL, _as_rng, _check_int, positivity_test
 from .pauli import _check_dense_dim, _traceless
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
@@ -51,6 +51,9 @@ A_MIN_CANONICAL = 1.0 / 3.0
 
 #: Samples the Monte Carlo sampler draws, assembles and tests at a time.
 MC_CHUNK = 4096
+
+#: Most a-values one dataset grid may hold; every grid point becomes a record.
+MAX_A_STEPS = 100_000
 
 
 class RegionClass(enum.Enum):
@@ -174,8 +177,7 @@ def feasible_interval(c2: float) -> FeasibleInterval:
     The endpoints agree with a brute-force scan of the inequalities and are
     continuous across c2 = 1/2, where both forms give [1/2, 2/3].
     """
-    if not A_MIN_CANONICAL - 1e-12 <= c2 <= 1.0 + 1e-12:
-        raise ParameterOutOfRange(f"c2={c2} outside [1/3, 1]")
+    _check_domain(A_MIN_CANONICAL, c2)
     k1 = math.sqrt(max(6.0 * c2 - 2.0, 0.0))
     a_hi = (1.0 + k1) / 3.0
     if c2 <= 0.5:
@@ -194,9 +196,10 @@ def hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
     """``steps`` evenly spaced a-values where K is real at purity c2.
 
     The range is [(1 - K1)/3, (1 + K1)/3] clipped into [0, 1]; at c2 = 1/3
-    it is the single point 1/3 and the grid has one entry.
+    it is the single point 1/3 and the grid has one entry.  ``steps`` is an
+    integer in [1, MAX_A_STEPS].
     """
-    steps = _check_int(steps, "steps", 1)
+    steps = _check_int(steps, "steps", 1, MAX_A_STEPS)
     k1 = feasible_interval(c2).K1
     lo, hi = max((1.0 - k1) / 3.0, 0.0), min((1.0 + k1) / 3.0, 1.0)
     return np.linspace(lo, hi, 1 if hi - lo < 1e-15 else steps)
@@ -219,9 +222,11 @@ DEFAULT_C2_GRID = tuple(round(0.35 + 0.05 * k, 2) for k in range(14))
 DEFAULT_A_STEPS = 600
 
 
-def default_region_grid_axes() -> tuple[np.ndarray, np.ndarray]:
-    return (np.array(DEFAULT_C2_GRID),
-            np.linspace(A_MIN_CANONICAL, 1.0, DEFAULT_A_STEPS))
+def default_region_grid_axes(steps: int = DEFAULT_A_STEPS) -> tuple[np.ndarray, np.ndarray]:
+    """``(c2_axis, a_axis)`` of the region dataset: ``DEFAULT_C2_GRID`` and
+    ``steps`` evenly spaced a-values in [1/3, 1], an integer in [1, MAX_A_STEPS]."""
+    steps = _check_int(steps, "steps", 1, MAX_A_STEPS)
+    return np.array(DEFAULT_C2_GRID), np.linspace(A_MIN_CANONICAL, 1.0, steps)
 
 
 def region_grid(c2_values, a_values) -> list[RegionRecord]:
@@ -290,7 +295,7 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     if not 1.0 / n < c2 <= 1.0 + 1e-12:
         raise ParameterOutOfRange(f"c2={c2} outside (1/{n}, 1]")
     radius = math.sqrt(c2 - 1.0 / n)
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     hits = 0
     for start in range(0, samples, MC_CHUNK):
         g = rng.standard_normal((min(MC_CHUNK, samples - start), n * n - 1))

@@ -362,6 +362,14 @@ class TestQutrit:
         assert res.returncode == 2
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("kind", ["region", "fig2", "fig3"])
+    def test_a_steps_above_cap_exits_3(self, kind):
+        res = run_cli("qutrit", kind, "--a-steps", "100001")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "steps 100001 outside [1, 100000]" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_bad_c2_exits_2(self):
         assert run_cli("qutrit", "fig3", "--c2", "0.2").returncode == 2
         assert run_cli("qutrit", "fraction", "--n", "3", "--c2", "0.1").returncode == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orbit_atlas import (
+    CoherenceVector,
     DensityMatrix,
     DimensionMismatch,
     DimensionOutOfRange,
@@ -33,7 +34,7 @@ from orbit_atlas import (
     unitarily_equivalent,
 )
 from orbit_atlas.linalg import positivity_test
-from orbit_atlas.qutrit import hermitian_a_grid
+from orbit_atlas.qutrit import default_region_grid_axes, hermitian_a_grid
 
 
 def charpoly_roots_by_bisection(h, n_roots, lo=None, hi=None, tol=1e-12):
@@ -326,6 +327,18 @@ BAD_INTEGERS = {
     "standard_J(0)": (lambda: standard_J(0), OddDimension),
     "random_symplectic(2.5)": (lambda: random_symplectic(2.5), OddDimension),
     "generate_basis(3.0)": (lambda: generate_basis(3.0), DimensionOutOfRange),
+    "random_unitary(2, seed=-1)": (lambda: random_unitary(2, seed=-1), ParameterOutOfRange),
+    "random_unitary(2, seed=1.5)": (lambda: random_unitary(2, seed=1.5), ParameterOutOfRange),
+    "random_symplectic(1, seed=-1)": (lambda: random_symplectic(1, seed=-1), ParameterOutOfRange),
+    "sphere_physical_fraction(3, 0.5, 10, seed=-1)": (
+        lambda: sphere_physical_fraction(3, 0.5, 10, seed=-1), ParameterOutOfRange),
+    "sphere_physical_fraction(3, 0.5, 10, seed=1.5)": (
+        lambda: sphere_physical_fraction(3, 0.5, 10, seed=1.5), ParameterOutOfRange),
+    "CoherenceVector(dim=3.0, ...)": (
+        lambda: CoherenceVector(dim=3.0, components=np.zeros(8)), DimensionOutOfRange),
+    "hermitian_a_grid(0.5, 100_001)": (lambda: hermitian_a_grid(0.5, 100_001), ParameterOutOfRange),
+    "default_region_grid_axes(100_001)": (
+        lambda: default_region_grid_axes(100_001), ParameterOutOfRange),
 }
 
 

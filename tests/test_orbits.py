@@ -11,6 +11,7 @@ from orbit_atlas import (
     DimensionMismatch,
     MajorizationResult,
     StateClass,
+    ValidationError,
     enumerate_orbit_table,
     flag_manifold_name,
     majorize_compare,
@@ -73,6 +74,12 @@ class TestOrbitSignature:
         rho = diag_state(0.3, 0.2, *chain, 0.06, 0.04)
         with pytest.raises(AmbiguousClustering, match="spreads"):
             orbit_signature(rho, cluster_tol=1e-8)
+
+    @pytest.mark.parametrize("values", [[], [1.0, float("nan")], [float("inf"), 0.0]],
+                             ids=["empty", "nan", "inf"])
+    def test_cluster_spectrum_refuses_empty_or_non_finite(self, values):
+        with pytest.raises(ValidationError):
+            cluster_spectrum(values, 1e-9)
 
     def test_signature_is_conjugation_invariant(self):
         rng = np.random.default_rng(71)

@@ -189,9 +189,32 @@ class TestOrbitBounds:
 SP_TOL = 1e-12
 
 
+def tie_rules_by_tolerance_scans(d, tol=SP_TOL) -> dict:
+    """Oracle: the tie rules of ``sp_orbit_bounds`` written directly as
+    comparisons against ``tol``, not through cluster labels."""
+    n = d.shape[0] // 2
+    dim = 2 * n
+    first, second = d[:n], d[n:]
+    halves_equal = bool(np.abs(first - second).max() <= tol)
+    first_scalar = bool(np.abs(first - first[0]).max() <= tol)
+    second_scalar = bool(np.abs(second - second[0]).max() <= tol)
+    rules = {}
+    if halves_equal and not first_scalar:
+        rules[SpRuleKind.EQUAL_HALVES] = (2 * n * n - 1, False)
+    if first_scalar and second_scalar and abs(first[0] - second[0]) > tol:
+        rules[SpRuleKind.SCALAR_HALVES] = (n * n + n, True)
+    run = 1
+    while run < dim and abs(d[dim - 1 - run] - d[dim - 1]) <= tol:
+        run += 1
+    if 2 <= run < dim:
+        ell = run // 2
+        rules[SpRuleKind.TRAILING_SCALAR_BLOCK] = (n * (2 * n + 1) - ell * (2 * ell + 1), False)
+    return rules
+
+
 class TestPlantedTies:
     @settings(max_examples=200)
-    @given(n=st.integers(1, 4), data=st.data())
+    @given(n=st.integers(1, 8), data=st.data())
     def test_exact_rules_agree_and_chains_are_refused(self, n, data):
         # a few levels, so ties are planted; each entry is nudged off its
         # level by -0.9, 0 or 0.9 times the tolerance.  A level nudged both
@@ -210,6 +233,9 @@ class TestPlantedTies:
             return
         report = sp_orbit_bounds(d)
         assert len({r.bound for r in report.rules if r.exact}) <= 1
+        tie_rules = {r.rule: (r.bound, r.exact) for r in report.rules
+                     if r.rule not in (SpRuleKind.TRANSITIVE, SpRuleKind.GENERIC_TORUS)}
+        assert tie_rules == tie_rules_by_tolerance_scans(d)
 
 
 class TestTable2:
