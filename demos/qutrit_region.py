@@ -14,7 +14,6 @@ from orbit_atlas import (
     fig2_curve,
     fig3_curve,
     qutrit_from_params,
-    region_grid,
     sphere_physical_fraction,
 )
 from orbit_atlas.formats import (
@@ -40,9 +39,8 @@ print(f"\nExample point a=0.5, c2=0.4: b={p.b:.6f}, c={p.c:.6f}, "
       f"K={p.K:.6f}, class={p.classification.value}")
 
 c2_grid, a_grid = default_region_grid_axes()
-records = region_grid(c2_grid, a_grid)
 with open(OUT / "region.csv", "w", encoding="utf-8") as fh:
-    write_region_csv(fh, records)
+    write_region_csv(fh, c2_grid, a_grid)
 
 for c2 in (0.4, 0.55, 0.6, 0.8):
     grid = hermitian_a_grid(c2, 400)

@@ -29,7 +29,7 @@ import sys
 
 from . import formats, orbits, qutrit, symplectic
 from .exceptions import OrbitAtlasError, ParseError
-from .linalg import DEFAULT_TOL, DensityMatrix, purity
+from .linalg import DEFAULT_TOL, DensityMatrix, _check_int, purity
 from .orbits import DEFAULT_CLUSTER_TOL
 from .pauli import (
     Convention,
@@ -163,9 +163,10 @@ def cmd_qutrit(args) -> int:
         _emit(args, lambda fh: formats.write_fractions_csv(fh, [row]))
         return EXIT_OK
     steps = _at_least(args.a_steps, 1, "--a-steps")
+    _check_int(steps, "--a-steps", 1, qutrit.MAX_A_STEPS)  # above the cap: exit 3
     if args.kind == "region":
-        records = qutrit.region_grid(*qutrit.default_region_grid_axes(steps))
-        _emit(args, lambda fh: formats.write_region_csv(fh, records))
+        c2_axis, a_axis = qutrit.default_region_grid_axes(steps)
+        _emit(args, lambda fh: formats.write_region_csv(fh, c2_axis, a_axis))
         return EXIT_OK
     c2 = _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")
     a_grid = qutrit.hermitian_a_grid(c2, steps)

@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+from . import qutrit
 from .exceptions import ParseError
 from .pauli import Convention, CoherenceVector
 
@@ -104,54 +105,56 @@ def dump_json(obj, fh) -> None:
 
 
 # --------------------------------------------------------------------------
-# CSV emission.  Floats go through ``fmt``; everything else is str()'d.
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt(value)
-    text = str(value)
-    if "," in text:  # standard CSV quoting, needed for spectrum patterns
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def write_csv(fh, header, rows) -> None:
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_cell(v) for v in row) + "\n")
-
+# CSV emission.  Each writer formats its own columns: floats through ``fmt``,
+# integers through ``str``.
 
 def write_orbit_table_csv(fh, rows) -> None:
     """`partition,manifold,dimension` with partitions like ``1+2``."""
-    write_csv(fh, ("partition", "manifold", "dimension"),
-              (("+".join(str(m) for m in r.partition), r.manifold, r.dimension)
-               for r in rows))
+    fh.write("partition,manifold,dimension\n")
+    fh.writelines(f"{'+'.join(map(str, r.partition))},{r.manifold},{r.dimension}\n" for r in rows)
 
 
-def write_region_csv(fh, records) -> None:
-    write_csv(fh, ("a", "c2", "class", "curve1", "curve2", "curve3"),
-              ((r.a, r.c2, r.classification.value, r.curve1, r.curve2, r.curve3)
-               for r in records))
+def write_region_csv(fh, c2_values, a_values) -> None:
+    """`a,c2,class,curve1,curve2,curve3` over the (c2, a) grid, c2-major.
+
+    The a and curve columns are formatted once and c2 once per row, and the
+    grid is classified and written one c2 row at a time.
+    """
+    a_list = np.asarray(a_values, dtype=float).tolist()
+    rows = qutrit.region_rows(c2_values, a_list)
+    cells = [(fmt(a), ",".join([fmt(f(a)) for f in qutrit.REGION_CURVES])) for a in a_list]
+    fh.write("a,c2,class,curve1,curve2,curve3\n")
+    # ``_value_`` is the plain attribute behind Enum's ``value`` property, and
+    # more than ten times cheaper to read once per grid point
+    for c2_value, classes in rows:
+        c2 = fmt(c2_value)
+        fh.write("".join([f"{a},{c2},{k._value_},{cs}\n" for (a, cs), k in zip(cells, classes)]))
+
+
+def _write_curve_csv(fh, column, c2, points) -> None:
+    """`c2,a,<column>` rows of one figure curve at purity c2."""
+    c2_cell = fmt(c2)
+    fh.write(f"c2,a,{column}\n")
+    fh.writelines(f"{c2_cell},{fmt(a)},{fmt(v)}\n" for a, v in points)
 
 
 def write_fig2_csv(fh, c2, points) -> None:
-    write_csv(fh, ("c2", "a", "a_plus_b"),
-              ((c2, a, v) for a, v in points))
+    _write_curve_csv(fh, "a_plus_b", c2, points)
 
 
 def write_fig3_csv(fh, c2, points) -> None:
-    write_csv(fh, ("c2", "a", "entropy"),
-              ((c2, a, v) for a, v in points))
+    _write_curve_csv(fh, "entropy", c2, points)
 
 
 def write_fractions_csv(fh, rows) -> None:
     """Rows of (n, c2, samples, fraction, seed)."""
-    write_csv(fh, ("n", "c2", "samples", "fraction", "seed"), rows)
+    fh.write("n,c2,samples,fraction,seed\n")
+    fh.writelines(f"{n},{fmt(c2)},{samples},{fmt(fraction)},{seed}\n"
+                  for n, c2, samples, fraction, seed in rows)
 
 
 def write_table2_csv(fh, rows) -> None:
-    write_csv(fh, ("pattern", "unitary_dim", "paper_bound", "computed_bound", "exact"),
-              ((r.pattern, r.unitary_dim, r.paper_bound,
-                r.computed_bound, r.exact) for r in rows))
+    """Table 2 rows; the comma-separated pattern is quoted."""
+    fh.write("pattern,unitary_dim,paper_bound,computed_bound,exact\n")
+    fh.writelines(f'"{r.pattern}",{r.unitary_dim},{r.paper_bound},'
+                  f"{r.computed_bound},{str(r.exact).lower()}\n" for r in rows)

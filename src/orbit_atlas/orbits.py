@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import AmbiguousClustering, DimensionOutOfRange, ValidationError
+from .exceptions import (AmbiguousClustering, DimensionOutOfRange, ParameterOutOfRange,
+                         ValidationError)
 from .linalg import (DEFAULT_TOL, DensityMatrix, _check_int, check_tolerance,
                      unitarily_equivalent)
 
@@ -112,9 +113,13 @@ def orbit_signature(rho: DensityMatrix,
     ``cluster_spectrum`` of the eigenvalues at ``cluster_tol``; its
     AmbiguousClustering verdict (two cluster means within
     ``2 * cluster_tol``, or a chained cluster wider than ``cluster_tol``)
-    propagates.  Distinct values are the cluster means.
+    propagates.  Distinct values are the cluster means.  ``cluster_tol``
+    must lie in [0, 1/(2n)): a tolerance on the scale of the mean eigenvalue
+    1/n would merge levels that are not degenerate (ParameterOutOfRange).
     """
     cluster_tol = check_tolerance(cluster_tol, "cluster_tol")
+    if cluster_tol >= 0.5 / rho.dim:
+        raise ParameterOutOfRange(f"cluster_tol {cluster_tol} outside [0, 1/(2n)) at n={rho.dim}")
     clusters = cluster_spectrum(rho.eigenvalues(), cluster_tol)
     values = tuple(float(np.mean(c)) for c in clusters)
     mults = tuple(len(c) for c in clusters)

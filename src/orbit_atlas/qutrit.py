@@ -18,9 +18,12 @@ diag(a, (1-a)/2, (1-a)/2); points on the dash-dot curve are diag(a, a, 1-2a).
 
 One array kernel, ``_region_kernel``, maps (a, c2) arrays to (b, c, K) and a
 class code.  It is the one place the formula above, the K2_SNAP rule and the
-precedence of the region classes are written: ``feasibility`` and
-``qutrit_from_params`` call it on one point, and ``region_grid``,
-``fig2_curve`` and ``fig3_curve`` on a whole grid at once.
+precedence of the region classes are written: ``qutrit_from_params`` calls it
+on one point, ``region_rows`` on one c2 row of a grid at a time, and
+``fig2_curve`` and ``fig3_curve`` on a whole a-grid at once.  The region
+dataset is written from ``region_rows`` and ``REGION_CURVES`` directly, so it
+holds one grid row in memory; ``region_grid`` builds records from the same
+rows for library callers.
 
 The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
@@ -29,7 +32,6 @@ fixed purity in coherence-vector space is occupied by physical states.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +54,8 @@ A_MIN_CANONICAL = 1.0 / 3.0
 #: Samples the Monte Carlo sampler draws, assembles and tests at a time.
 MC_CHUNK = 4096
 
-#: Most a-values one dataset grid may hold; every grid point becomes a record.
+#: Most a-values one dataset grid may hold, which bounds the time of one
+#: dataset run and the memory of one grid row.
 MAX_A_STEPS = 100_000
 
 
@@ -78,6 +81,10 @@ def dashed_curve(a):
 def dashdot_curve(a):
     """Ordering limit 6a^2 - 4a + 1, compared against c2."""
     return 6.0 * a * a - 4.0 * a + 1.0
+
+
+#: The curves of the region dataset's curve1, curve2 and curve3 columns.
+REGION_CURVES = (solid_curve, dashed_curve, dashdot_curve)
 
 
 @dataclass(frozen=True)
@@ -148,8 +155,7 @@ def _region_kernel(a, c2):
 
 def feasibility(a: float, c2: float) -> RegionClass:
     """Classify one (a, c2) point against the three region inequalities."""
-    _check_domain(a, c2)
-    return _CLASS_ORDER[int(_region_kernel(a, c2)[3])]
+    return qutrit_from_params(a, c2).classification
 
 
 def qutrit_from_params(a: float, c2: float) -> QutritRegionPoint:
@@ -229,19 +235,27 @@ def default_region_grid_axes(steps: int = DEFAULT_A_STEPS) -> tuple[np.ndarray, 
     return np.array(DEFAULT_C2_GRID), np.linspace(A_MIN_CANONICAL, 1.0, steps)
 
 
+def region_rows(c2_values, a_values):
+    """``(c2, classes)`` per c2 of a rectangular (c2, a) grid, in order.
+
+    ``classes`` lists the RegionClass of every a-value at that c2, from one
+    kernel call per row.  Both axes are checked (ParameterOutOfRange) before
+    this returns, so a refused grid raises here, not while it is iterated.
+    """
+    a_axis, c2_axis = np.asarray(a_values, dtype=float), np.asarray(c2_values, dtype=float)
+    _check_domain(a_axis, c2_axis)
+    return ((c2, [_CLASS_ORDER[k] for k in _region_kernel(a_axis, c2)[3].tolist()])
+            for c2 in c2_axis.tolist())
+
+
 def region_grid(c2_values, a_values) -> list[RegionRecord]:
     """Classification records over a rectangular (c2, a) grid, c2-major."""
     a_axis = np.asarray(a_values, dtype=float)
-    c2_axis = np.asarray(c2_values, dtype=float)
-    a, c2 = np.meshgrid(a_axis, c2_axis)
-    _check_domain(a, c2)
-    classes = np.array(_CLASS_ORDER, dtype=object)[_region_kernel(a, c2)[3]]
-    # every c2 row repeats the a-columns, so the rows share their float objects
-    rows, cols = c2.shape
-    c2_column = itertools.chain.from_iterable([v] * cols for v in c2_axis.tolist())
-    return list(map(RegionRecord, a_axis.tolist() * rows, c2_column, classes.ravel().tolist(),
-                    *(curve(a_axis).tolist() * rows
-                      for curve in (solid_curve, dashed_curve, dashdot_curve))))
+    rows = region_rows(c2_values, a_axis)
+    a_list = a_axis.tolist()
+    curves = [curve(a_axis).tolist() for curve in REGION_CURVES]
+    return [record for c2, classes in rows
+            for record in map(RegionRecord, a_list, [c2] * len(a_list), classes, *curves)]
 
 
 def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -13,6 +14,9 @@ from orbit_atlas import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "demos" / "output"
+#: sha256 digests of the dataset commands' stdout, keyed by command line
+DATASET_DIGESTS = json.loads(
+    (ROOT / "bench" / "goldens.json").read_text(encoding="utf-8"))["datasets"]
 
 
 def run_cli(*argv, env_extra=None):
@@ -131,6 +135,14 @@ class TestClassify:
         # reported Generic
         f = write_matrix(tmp_path / "m.json", np.eye(3) / 3)
         res = run_cli("classify", "--input", f, "--cluster-tol", "nan")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "cluster_tol" in res.stderr
+
+    def test_cluster_tol_on_the_spectrum_scale_exits_3(self, tmp_path):
+        # at 0.5 diag(0.6, 0.4) was reported CompletelyRandom, orbit dimension 0
+        f = write_matrix(tmp_path / "m.json", np.diag([0.6, 0.4]))
+        res = run_cli("classify", "--input", f, "--cluster-tol", "0.5")
         assert res.returncode == 3
         assert res.stdout == ""
         assert "cluster_tol" in res.stderr
@@ -363,12 +375,16 @@ class TestQutrit:
         assert res.stdout == ""
 
     @pytest.mark.parametrize("kind", ["region", "fig2", "fig3"])
-    def test_a_steps_above_cap_exits_3(self, kind):
+    def test_a_steps_above_cap_exits_3(self, kind, tmp_path):
         res = run_cli("qutrit", kind, "--a-steps", "100001")
         assert res.returncode == 3
         assert res.stdout == ""
         assert "steps 100001 outside [1, 100000]" in res.stderr
         assert "Traceback" not in res.stderr
+        assert "--a-steps" in res.stderr
+        out = tmp_path / "out.csv"
+        assert run_cli("qutrit", kind, "--a-steps", "100001", "--output", str(out)).returncode == 3
+        assert not out.exists()
 
     def test_bad_c2_exits_2(self):
         assert run_cli("qutrit", "fig3", "--c2", "0.2").returncode == 2
@@ -395,6 +411,11 @@ class TestGoldenOutput:
     def test_figure_curve(self, capsys, kind, c2):
         out = main_stdout(capsys, ["qutrit", kind, "--c2", c2, "--a-steps", "400"])
         assert out == (OUTPUT / f"{kind}_c2_{c2}.csv").read_bytes()
+
+    @pytest.mark.parametrize("what", [str(n) for n in range(2, 9)] + ["sp"])
+    def test_tables(self, capsys, what):
+        out = main_stdout(capsys, ["tables", what])
+        assert hashlib.sha256(out).hexdigest() == DATASET_DIGESTS[f"tables {what}"]["sha256"]
 
     def test_fraction(self, capsys):
         header, first = (OUTPUT / "fractions.csv").read_bytes().splitlines(keepends=True)[:2]

@@ -11,7 +11,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from orbit_atlas import fig2_curve, fig3_curve, region_grid, sphere_physical_fraction
+from orbit_atlas import fig2_curve, fig3_curve, sphere_physical_fraction
 from orbit_atlas.formats import (
     write_fig2_csv,
     write_fig3_csv,
@@ -43,8 +43,7 @@ def fractions_rows() -> list:
 
 #: committed file name -> function rebuilding its bytes
 REBUILD = {
-    "region.csv": lambda: render(write_region_csv,
-                                 region_grid(*default_region_grid_axes())),
+    "region.csv": lambda: render(write_region_csv, *default_region_grid_axes()),
     "fractions.csv": lambda: render(write_fractions_csv, fractions_rows()),
 }
 for _c2 in FIG_C2:

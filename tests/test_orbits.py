@@ -10,6 +10,7 @@ from orbit_atlas import (
     DensityMatrix,
     DimensionMismatch,
     MajorizationResult,
+    ParameterOutOfRange,
     StateClass,
     ValidationError,
     enumerate_orbit_table,
@@ -74,6 +75,16 @@ class TestOrbitSignature:
         rho = diag_state(0.3, 0.2, *chain, 0.06, 0.04)
         with pytest.raises(AmbiguousClustering, match="spreads"):
             orbit_signature(rho, cluster_tol=1e-8)
+
+    def test_cluster_tol_on_the_spectrum_scale_is_refused(self):
+        # at 0.5 the levels of diag(0.6, 0.4) merged into CompletelyRandom
+        rho = diag_state(0.6, 0.4)
+        for tol in (0.5, 0.25):
+            with pytest.raises(ParameterOutOfRange, match="cluster_tol"):
+                orbit_signature(rho, cluster_tol=tol)
+        with pytest.raises(ParameterOutOfRange, match="cluster_tol"):
+            orbit_signature(diag_state(0.4, 0.3, 0.2, 0.1), cluster_tol=0.125)
+        assert orbit_signature(rho, cluster_tol=0.05).multiplicities == (1, 1)
 
     @pytest.mark.parametrize("values", [[], [1.0, float("nan")], [float("inf"), 0.0]],
                              ids=["empty", "nan", "inf"])

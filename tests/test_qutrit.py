@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from orbit_atlas import (
     region_grid,
     sphere_physical_fraction,
 )
+from orbit_atlas.formats import fmt, write_region_csv
 from orbit_atlas.linalg import positivity_test
 from orbit_atlas.orbits import entropy_of_spectrum
 from orbit_atlas.pauli import CoherenceVector, _traceless
@@ -359,6 +361,16 @@ class TestKernelAgainstReference:
         assert bits(region_grid(KERNEL_C2, a_values)) == \
             bits(ref_region_grid(KERNEL_C2, a_values))
 
+    def test_region_csv_renders_the_reference_grid(self):
+        a_values = sorted({a for c2 in KERNEL_C2 for a in special_a_values(c2)})
+        buf = io.StringIO()
+        write_region_csv(buf, KERNEL_C2, a_values)
+        want = ["a,c2,class,curve1,curve2,curve3\n"] + [
+            ",".join([fmt(r.a), fmt(r.c2), r.classification.value,
+                      fmt(r.curve1), fmt(r.curve2), fmt(r.curve3)]) + "\n"
+            for r in ref_region_grid(KERNEL_C2, a_values)]
+        assert buf.getvalue() == "".join(want)
+
     @pytest.mark.parametrize("c2", KERNEL_C2)
     def test_scalar_entry_points(self, c2):
         for a in special_a_values(c2) + np.linspace(0.0, 1.0, 41).tolist():
@@ -444,7 +456,7 @@ class TestFeasibilityAgreesWithInterval:
 class TestDomainSurvivesVectorisation:
     @pytest.mark.parametrize("c2_values, a_values", [
         ([0.5], [1.2]), ([0.2], [0.5]), ([0.5], [math.nan]), ([math.nan], [0.5]),
-        ([0.5, 0.6], [0.4, -0.1, 0.7]),
+        ([0.5, 0.6], [0.4, -0.1, 0.7]), ([], [1.2]),
     ])
     def test_region_grid_rejects_points_outside_the_domain(self, c2_values, a_values):
         with pytest.raises(ParameterOutOfRange):
@@ -533,3 +545,24 @@ class TestStreamedMonteCarlo:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 100 * 2 ** 20
+
+
+class Discard:
+    """A text sink that keeps nothing it is given."""
+
+    def write(self, text):
+        pass
+
+
+class TestStreamedRegion:
+    def test_memory_does_not_grow_with_c2_rows(self):
+        a_axis = np.linspace(1.0 / 3.0, 1.0, 1000)
+        peaks = []
+        for rows in (10, 100):
+            tracemalloc.start()
+            try:
+                write_region_csv(Discard(), np.linspace(1.0 / 3.0, 1.0, rows), a_axis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
