@@ -63,13 +63,11 @@ from .qutrit import (
     FeasibleInterval,
     QutritRegionPoint,
     RegionClass,
-    RegionRecord,
     feasibility,
     feasible_interval,
     fig2_curve,
     fig3_curve,
     qutrit_from_params,
-    region_grid,
     sphere_physical_fraction,
 )
 from .symplectic import (

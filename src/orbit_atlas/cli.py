@@ -15,10 +15,11 @@ takes --output F (default stdout):
 
 Options follow the qutrit kind (``qutrit fig3 --c2 0.6``, not ``qutrit
 --c2 0.6 fig3``).  Exit codes: 0 success, 2 input/parse error (including
-unknown flags and flags the command does not take), 3 domain-validation
-error.  All runs are deterministic given identical inputs and seeds.  The
-environment variable ORBIT_ATLAS_TOL overrides the default validation
-tolerance; an explicit --tol wins over both.
+unknown flags, flags the command does not take and a stdout closed before
+the output was written), 3 domain-validation error.  All runs are
+deterministic given identical inputs and seeds.  The environment variable
+ORBIT_ATLAS_TOL overrides the default validation tolerance; an explicit
+--tol wins over both.
 """
 
 from __future__ import annotations
@@ -128,8 +129,7 @@ def cmd_bloch(args) -> int:
         vec = formats.parse_vector_obj(obj)
         out = formats.matrix_to_obj(from_coherence_vector(vec))
     if args.check:
-        physical, smallest = is_physical_vector(
-            convert_convention(vec, Convention.COHERENCE), tol=tol)
+        physical, smallest = is_physical_vector(vec, tol=tol)
         out["physical"] = physical
         out["min_eigenvalue"] = float(formats.fmt(smallest))
     _emit(args, lambda fh: formats.dump_json(out, fh))
@@ -155,7 +155,10 @@ def _at_least(value: int, low: int, flag: str) -> int:
 def cmd_qutrit(args) -> int:
     if args.kind == "fraction":
         n = _at_least(args.n, 2, "--n")
-        c2 = _snap(args.c2, 1.0 / n, 1.0, "--c2")
+        # the purity-1/n sphere is one point, so no snap onto it
+        if not 1.0 / n < args.c2 <= 1.0 + EDGE_SNAP:
+            raise ParseError(f"--c2={args.c2} outside (1/{n}, 1]")
+        c2 = min(args.c2, 1.0)
         samples = _at_least(args.samples, 1, "--samples")
         seed = _at_least(args.seed, 0, "--seed")
         frac = qutrit.sphere_physical_fraction(n, c2, samples, seed, tol=_tol(args))
@@ -251,7 +254,15 @@ def main(argv=None) -> int:
         # through unchanged.
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_PARSE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -74,13 +74,14 @@ def _classify(n: int, values: tuple, mults: tuple,
     return StateClass.OTHER_DEGENERATE
 
 
-def cluster_spectrum(values, tol: float) -> list[list[float]]:
-    """Single-linkage clusters of the values sorted nonincreasing: a new
-    cluster (a list of floats) starts wherever a gap exceeds ``tol``.
+def cluster_spectrum(values, tol: float) -> tuple[list[list[float]], list[float]]:
+    """``(clusters, means)``: single-linkage clusters of the values sorted
+    nonincreasing, and each cluster's mean.  A new cluster (a list of
+    floats) starts wherever a gap exceeds ``tol``.
 
     Raises ValidationError for an empty or non-finite input, and
-    AmbiguousClustering when the result is tolerance sensitive: two
-    cluster means within ``2 * tol``, or one cluster wider (largest member
+    AmbiguousClustering when the result is tolerance sensitive: two of the
+    returned means within ``2 * tol``, or one cluster wider (largest member
     minus smallest) than ``tol``, i.e. single linkage chained it.
     """
     tol = check_tolerance(tol)
@@ -103,7 +104,7 @@ def cluster_spectrum(values, tol: float) -> list[list[float]]:
     spread = max(c[0] - c[-1] for c in clusters)
     if spread > tol:
         raise AmbiguousClustering(f"a cluster spreads over {spread:.3e} > tol={tol}")
-    return clusters
+    return clusters, means
 
 
 def orbit_signature(rho: DensityMatrix,
@@ -113,15 +114,16 @@ def orbit_signature(rho: DensityMatrix,
     ``cluster_spectrum`` of the eigenvalues at ``cluster_tol``; its
     AmbiguousClustering verdict (two cluster means within
     ``2 * cluster_tol``, or a chained cluster wider than ``cluster_tol``)
-    propagates.  Distinct values are the cluster means.  ``cluster_tol``
-    must lie in [0, 1/(2n)): a tolerance on the scale of the mean eigenvalue
-    1/n would merge levels that are not degenerate (ParameterOutOfRange).
+    propagates.  Distinct values are the cluster means that verdict
+    compared.  ``cluster_tol`` must lie in [0, 1/(2n)): a tolerance on the
+    scale of the mean eigenvalue 1/n would merge levels that are not
+    degenerate (ParameterOutOfRange).
     """
     cluster_tol = check_tolerance(cluster_tol, "cluster_tol")
     if cluster_tol >= 0.5 / rho.dim:
         raise ParameterOutOfRange(f"cluster_tol {cluster_tol} outside [0, 1/(2n)) at n={rho.dim}")
-    clusters = cluster_spectrum(rho.eigenvalues(), cluster_tol)
-    values = tuple(float(np.mean(c)) for c in clusters)
+    clusters, means = cluster_spectrum(rho.eigenvalues(), cluster_tol)
+    values = tuple(means)
     mults = tuple(len(c) for c in clusters)
     return OrbitSignature(
         dim=rho.dim, distinct_values=values, multiplicities=mults,
@@ -185,12 +187,16 @@ def majorize_compare(rho1: DensityMatrix, rho2: DensityMatrix,
     return MajorizationResult.EQUAL
 
 
-def entropy_of_spectrum(values) -> float:
-    """-sum(w log w) over a probability vector, with 0 log 0 = 0 (nats)."""
+def entropy_of_spectrum(values):
+    """-sum(w log w) along the last axis, with 0 log 0 = 0 (nats).
+
+    Entries are clipped into [0, 1] first.  One spectrum gives a float, a
+    stack of spectra an array with one entropy per spectrum.
+    """
     w = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
-    w = w[w > 0.0]
-    value = float(-(w * np.log(w)).sum())
-    return value if value > 0.0 else 0.0
+    value = -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+    value = np.where(value > 0.0, value, 0.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

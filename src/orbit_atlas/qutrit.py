@@ -20,10 +20,10 @@ One array kernel, ``_region_kernel``, maps (a, c2) arrays to (b, c, K) and a
 class code.  It is the one place the formula above, the K2_SNAP rule and the
 precedence of the region classes are written: ``qutrit_from_params`` calls it
 on one point, ``region_rows`` on one c2 row of a grid at a time, and
-``fig2_curve`` and ``fig3_curve`` on a whole a-grid at once.  The region
-dataset is written from ``region_rows`` and ``REGION_CURVES`` directly, so it
-holds one grid row in memory; ``region_grid`` builds records from the same
-rows for library callers.
+``fig2_curve`` and ``fig3_curve`` on a whole a-grid at once.  A classified
+grid is read only through ``region_rows``, which holds one row in memory,
+with ``REGION_CURVES`` for the curve values; ``fig3_curve`` takes its
+entropies from ``orbits.entropy_of_spectrum``.
 
 The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
@@ -39,6 +39,7 @@ import numpy as np
 
 from .exceptions import ParameterOutOfRange
 from .linalg import DEFAULT_TOL, _as_rng, _check_int, positivity_test
+from .orbits import entropy_of_spectrum
 from .pauli import _check_dense_dim, _traceless
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
@@ -142,11 +143,12 @@ def _region_kernel(a, c2):
     k = np.sqrt(np.select([non_hermitian, disc <= K2_SNAP], [np.nan, 0.0], disc))
     on_solid = np.abs(disc) <= BOUNDARY_TOL
     on_dashdot = np.abs(dashdot_curve(a) - c2) <= BOUNDARY_TOL
-    # both bands hold only near the maximally mixed center (1/3, 1/3); such a
-    # point is taken as the center, not a degenerate pair, and falls through
+    # both bands hold only near the maximally mixed center (1/3, 1/3): the
+    # center itself falls through, any other such point is a degenerate pair
+    center = on_dashdot & (np.abs(a - A_MIN_CANONICAL) <= 1e-12)
     code = np.select([non_hermitian,
                       dashed_curve(a) < c2 - K2_SNAP,
-                      on_solid & ~on_dashdot,
+                      on_solid & ~center,
                       on_dashdot & ~on_solid,
                       (dashdot_curve(a) >= c2 - K2_SNAP) & (a >= A_MIN_CANONICAL - 1e-12)],
                      range(5), default=5)
@@ -211,16 +213,6 @@ def hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, 1 if hi - lo < 1e-15 else steps)
 
 
-@dataclass(frozen=True)
-class RegionRecord:
-    a: float
-    c2: float
-    classification: RegionClass
-    curve1: float  # 3a^2 - 2a + 1
-    curve2: float  # 2a^2 - 2a + 1
-    curve3: float  # 6a^2 - 4a + 1
-
-
 #: Purity grid used by the shipped region dataset.
 DEFAULT_C2_GRID = tuple(round(0.35 + 0.05 * k, 2) for k in range(14))
 
@@ -248,16 +240,6 @@ def region_rows(c2_values, a_values):
             for c2 in c2_axis.tolist())
 
 
-def region_grid(c2_values, a_values) -> list[RegionRecord]:
-    """Classification records over a rectangular (c2, a) grid, c2-major."""
-    a_axis = np.asarray(a_values, dtype=float)
-    rows = region_rows(c2_values, a_axis)
-    a_list = a_axis.tolist()
-    curves = [curve(a_axis).tolist() for curve in REGION_CURVES]
-    return [record for c2, classes in rows
-            for record in map(RegionRecord, a_list, [c2] * len(a_list), classes, *curves)]
-
-
 def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
     """Sum of the two largest-candidate eigenvalues, a + b = (1 + a + K)/2.
 
@@ -273,23 +255,19 @@ def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
 
 
 def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
-    """Entropy of diag(a, b, c) per grid point, physical points only.
+    """Entropy of diag(a, b, max(c, 0)) per grid point, physical points only.
 
     Skips non-Hermitian points (K^2 < 0) and non-positive ones (c < 0);
     entropy is undefined off the state space.  Nondecreasing in a over the
-    feasible interval for c2 >= 1/2.  Each value equals
-    ``entropy_of_spectrum((a, b, max(c, 0)))`` bit for bit: the same clip,
-    the same 0 log 0 = 0 and the same left-to-right sum of three terms.
+    feasible interval for c2 >= 1/2.  The values are one
+    ``entropy_of_spectrum`` call on the stack of kept spectra.
     """
     a = np.asarray(a_values, dtype=float)
     _check_domain(a, c2)
     b, c, _, code = _region_kernel(a, c2)
     keep = (code != 0) & ~(c < -K2_SNAP)
-    w = np.clip(np.stack([a, b, np.maximum(c, 0.0)])[:, keep], 0.0, 1.0)
-    positive = w > 0.0
-    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
-    entropy = -((terms[0] + terms[1]) + terms[2])
-    return list(zip(a[keep].tolist(), np.where(entropy > 0.0, entropy, 0.0).tolist()))
+    entropy = entropy_of_spectrum(np.stack([a, b, np.maximum(c, 0.0)], axis=-1)[keep])
+    return list(zip(a[keep].tolist(), entropy.tolist()))
 
 
 def sphere_physical_fraction(n: int, c2: float, samples: int,

@@ -151,7 +151,7 @@ def sp_orbit_bounds(diagonal, tol: float = _GROUP_TOL) -> SpOrbitReport:
             "diagonal entries must lie in [0, 1] and sum to one")
     n = d.shape[0] // 2
 
-    clusters = cluster_spectrum(d, tol)
+    clusters, _ = cluster_spectrum(d, tol)
     mults = [len(c) for c in clusters]
     unitary_dim = _flag_dimension(mults)
     # each entry's cluster index; clusters are unambiguous, so two entries

@@ -390,6 +390,25 @@ class TestQutrit:
         assert run_cli("qutrit", "fig3", "--c2", "0.2").returncode == 2
         assert run_cli("qutrit", "fraction", "--n", "3", "--c2", "0.1").returncode == 2
 
+    @pytest.mark.parametrize("n, c2", [("3", "0.3333333"), ("3", "0.3"), ("4", "0.25")])
+    def test_fraction_c2_at_or_below_one_over_n_exits_2(self, n, c2):
+        # the fraction domain is open at 1/n: no snap onto its lower edge
+        res = run_cli("qutrit", "fraction", "--n", n, "--c2", c2)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert f"--c2={c2} outside (1/{n}, 1]" in res.stderr
+
+    def test_closed_stdout_exits_2_without_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orbit_atlas", "qutrit", "region", "--a-steps", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "a,c2,class,curve1,curve2,curve3\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+
 
 def main_stdout(capsys, argv) -> bytes:
     """stdout of ``cli.main(argv)`` run in process, which must exit 0."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from orbit_atlas import (
     unitarily_equivalent,
     von_neumann_entropy,
 )
-from orbit_atlas.orbits import _partitions, cluster_spectrum
+from orbit_atlas.orbits import _partitions, cluster_spectrum, entropy_of_spectrum
 
 
 def diag_state(*values):
@@ -33,6 +34,17 @@ def diag_state(*values):
 
 
 class TestOrbitSignature:
+    @pytest.mark.parametrize("weights", [(1, 2, 3), (4,) * 8 + (1, 2, 3), (5,) * 9 + (2,) * 12])
+    def test_distinct_values_are_the_verdict_means(self, weights):
+        d = np.asarray(weights, dtype=float) / sum(weights)
+        u = random_unitary(len(d), 97)
+        rho = DensityMatrix((u * d[None, :]) @ u.conj().T)
+        sig = orbit_signature(rho)
+        clusters, means = cluster_spectrum(rho.eigenvalues(), sig.cluster_tol)
+        assert sig.distinct_values == tuple(means)
+        assert sig.multiplicities == tuple(len(c) for c in clusters)
+        assert max(sig.multiplicities) == max(weights.count(w) for w in weights)
+
     def test_maximally_mixed_qutrit(self):
         sig = orbit_signature(diag_state(1 / 3, 1 / 3, 1 / 3))
         assert sig.num_distinct == 1
@@ -239,6 +251,22 @@ class TestMajorization:
 
 
 class TestEntropy:
+    @pytest.mark.parametrize("k", [3, 8, 17, 64])
+    def test_stack_is_each_spectrum_bit_for_bit(self, k):
+        rng = np.random.default_rng(89 + k)
+        stack = rng.dirichlet(np.ones(k), size=40)
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+        stack[0] = 0.0
+        stack[1] = np.eye(k)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = entropy_of_spectrum(stack)
+            singles = [entropy_of_spectrum(w) for w in stack]
+        assert values.shape == (40,)
+        assert all(type(v) is float for v in singles)
+        assert [repr(v) for v in values.tolist()] == [repr(v) for v in singles]
+        assert singles[0] == singles[1] == 0.0
+
     def test_pure_state_zero(self):
         assert von_neumann_entropy(diag_state(1.0, 0.0, 0.0)) == 0.0
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,27 @@ SQRT2 = np.sqrt(2.0)
 def dense_stack(n):
     """Reference: all basis elements as one dense (n^2-1, n, n) array."""
     return np.stack(generate_basis(n).elements)
+
+
+def gell_mann_reference(n):
+    """Generalized Gell-Mann matrices divided by sqrt(2), built entry by
+    entry in Bertlmann-Krammer order: symmetric, antisymmetric, diagonal."""
+    symmetric, antisymmetric, diagonal = [], [], []
+    for j in range(n):
+        for k in range(j + 1, n):
+            s = np.zeros((n, n), dtype=complex)
+            s[j, k] = s[k, j] = 1.0
+            symmetric.append(s)
+            a = np.zeros((n, n), dtype=complex)
+            a[j, k], a[k, j] = -1j, 1j
+            antisymmetric.append(a)
+    for l in range(1, n):
+        d = np.zeros((n, n), dtype=complex)
+        for j in range(l):
+            d[j, j] = 1.0
+        d[l, l] = -l
+        diagonal.append(math.sqrt(2.0 / (l * (l + 1))) * d)
+    return np.stack(symmetric + antisymmetric + diagonal) / math.sqrt(2.0)
 
 
 def gram_matrix(basis):
@@ -129,6 +152,11 @@ class TestIndexMaps:
             want = np.einsum("kij,ji->k", stack, rho.matrix).real
             got = to_coherence_vector(rho).components
             assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
+    def test_basis_is_the_textbook_gell_mann_basis(self, n):
+        got = np.stack(generate_basis(n).elements)
+        assert np.abs(got - gell_mann_reference(n)).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_scatter_matches_dense_reference(self, n):

@@ -21,7 +21,6 @@ from orbit_atlas import (
     orbit_signature,
     purity,
     qutrit_from_params,
-    region_grid,
     sphere_physical_fraction,
 )
 from orbit_atlas.formats import fmt, write_region_csv
@@ -33,11 +32,12 @@ from orbit_atlas.qutrit import (
     K2_SNAP,
     MC_CHUNK,
     QutritRegionPoint,
-    RegionRecord,
+    REGION_CURVES,
     dashdot_curve,
     dashed_curve,
     default_region_grid_axes,
     hermitian_a_grid,
+    region_rows,
     solid_curve,
 )
 
@@ -180,30 +180,38 @@ class TestFeasibleInterval:
             feasible_interval(0.2)
 
 
+def grid_classes(c2_values, a_values):
+    """``(a, c2, class)`` per point of ``region_rows``' grid, c2-major."""
+    a_list = np.asarray(a_values, dtype=float).tolist()
+    return [(a, c2, k) for c2, classes in region_rows(c2_values, a_values)
+            for a, k in zip(a_list, classes)]
+
+
 class TestRegionGrid:
     def test_center_is_unique_orbit(self):
-        records = region_grid([1 / 3], [1 / 3])
-        assert records[0].classification is RegionClass.UNIQUE_ORBIT
+        ((_, classes),) = region_rows([1 / 3], [1 / 3])
+        assert classes[0] is RegionClass.UNIQUE_ORBIT
 
     def test_unique_records_lie_in_feasible_interval(self):
         c2_grid, a_grid = default_region_grid_axes()
-        records = region_grid(c2_grid[:6], a_grid[::10])
         res = float(a_grid[10] - a_grid[0])
-        for r in records:
-            if r.classification is RegionClass.UNIQUE_ORBIT:
-                iv = feasible_interval(r.c2)
-                assert iv.a_lo - res <= r.a <= iv.a_hi + res
+        for a, c2, k in grid_classes(c2_grid[:6], a_grid[::10]):
+            if k is RegionClass.UNIQUE_ORBIT:
+                iv = feasible_interval(c2)
+                assert iv.a_lo - res <= a <= iv.a_hi + res
 
     def test_no_non_positive_below_half_purity(self):
         _, a_grid = default_region_grid_axes()
-        records = region_grid([0.45], a_grid)
-        assert all(r.classification is not RegionClass.NON_POSITIVE for r in records)
+        ((_, classes),) = region_rows([0.45], a_grid)
+        assert all(k is not RegionClass.NON_POSITIVE for k in classes)
 
     def test_curve_columns(self):
-        (r,) = region_grid([0.5], [0.4])
-        assert r.curve1 == pytest.approx(3 * 0.16 - 0.8 + 1)
-        assert r.curve2 == pytest.approx(2 * 0.16 - 0.8 + 1)
-        assert r.curve3 == pytest.approx(6 * 0.16 - 1.6 + 1)
+        ((c2, classes),) = region_rows([0.5], [0.4])
+        assert (c2, len(classes)) == (0.5, 1)
+        curve1, curve2, curve3 = (curve(0.4) for curve in REGION_CURVES)
+        assert curve1 == pytest.approx(3 * 0.16 - 0.8 + 1)
+        assert curve2 == pytest.approx(2 * 0.16 - 0.8 + 1)
+        assert curve3 == pytest.approx(6 * 0.16 - 1.6 + 1)
 
 
 def hermitian_a_range(c2, steps=400):
@@ -264,8 +272,8 @@ def ref_feasibility(a, c2):
         return RegionClass.NON_POSITIVE
     on_solid = abs(disc) <= BOUNDARY_TOL
     on_dashdot = abs(dashdot_curve(a) - c2) <= BOUNDARY_TOL
-    if on_solid and on_dashdot:
-        pass
+    if on_solid and on_dashdot and abs(a - 1.0 / 3.0) <= 1e-12:
+        pass  # the centre falls through
     elif on_solid:
         return RegionClass.BOUNDARY_PSEUDO_PURE_SOLID
     elif on_dashdot:
@@ -288,11 +296,14 @@ def ref_from_params(a, c2):
 
 
 def ref_region_grid(c2_values, a_values):
-    return [RegionRecord(a=float(a), c2=float(c2),
-                         classification=ref_feasibility(float(a), float(c2)),
-                         curve1=float(solid_curve(a)), curve2=float(dashed_curve(a)),
-                         curve3=float(dashdot_curve(a)))
+    """``(a, c2, class, curve1, curve2, curve3)`` per grid point, c2-major."""
+    return [(float(a), float(c2), ref_feasibility(float(a), float(c2)),
+             float(solid_curve(a)), float(dashed_curve(a)), float(dashdot_curve(a)))
             for c2 in c2_values for a in a_values]
+
+
+def ref_grid_classes(c2_values, a_values):
+    return [r[:3] for r in ref_region_grid(c2_values, a_values)]
 
 
 def ref_fig2(c2, a_values):
@@ -354,27 +365,32 @@ class TestKernelAgainstReference:
     def test_region_grid_short_a_grids(self, steps):
         c2_grid, _ = default_region_grid_axes()
         grid = np.linspace(1.0 / 3.0, 1.0, steps)
-        assert bits(region_grid(c2_grid, grid)) == bits(ref_region_grid(c2_grid, grid))
+        assert bits(grid_classes(c2_grid, grid)) == bits(ref_grid_classes(c2_grid, grid))
 
     def test_region_grid_random_purities_and_special_points(self):
         a_values = sorted({a for c2 in KERNEL_C2 for a in special_a_values(c2)})
-        assert bits(region_grid(KERNEL_C2, a_values)) == \
-            bits(ref_region_grid(KERNEL_C2, a_values))
+        assert bits(grid_classes(KERNEL_C2, a_values)) == \
+            bits(ref_grid_classes(KERNEL_C2, a_values))
 
     def test_region_csv_renders_the_reference_grid(self):
         a_values = sorted({a for c2 in KERNEL_C2 for a in special_a_values(c2)})
         buf = io.StringIO()
         write_region_csv(buf, KERNEL_C2, a_values)
         want = ["a,c2,class,curve1,curve2,curve3\n"] + [
-            ",".join([fmt(r.a), fmt(r.c2), r.classification.value,
-                      fmt(r.curve1), fmt(r.curve2), fmt(r.curve3)]) + "\n"
-            for r in ref_region_grid(KERNEL_C2, a_values)]
+            ",".join([fmt(a), fmt(c2), k.value] + [fmt(v) for v in curves]) + "\n"
+            for a, c2, k, *curves in ref_region_grid(KERNEL_C2, a_values)]
         assert buf.getvalue() == "".join(want)
 
     @pytest.mark.parametrize("c2", KERNEL_C2)
     def test_scalar_entry_points(self, c2):
         for a in special_a_values(c2) + np.linspace(0.0, 1.0, 41).tolist():
             assert feasibility(a, c2) is ref_feasibility(a, c2)
+            assert bits([qutrit_from_params(a, c2)]) == bits([ref_from_params(a, c2)])
+
+    @pytest.mark.parametrize("c2", [1.0 / 3.0, 1.0 / 3.0 + 5e-11])
+    def test_points_in_both_boundary_bands(self, c2):
+        for offset in (-2e-6, -4e-7, -1e-12, 0.0, 1e-13, 4e-7, 2e-6):
+            a = 1.0 / 3.0 + offset
             assert bits([qutrit_from_params(a, c2)]) == bits([ref_from_params(a, c2)])
 
     @pytest.mark.parametrize("steps", [1, 2, 150])
@@ -404,17 +420,6 @@ class TestKernelAgainstReference:
 #: classification must agree with it.
 INTERVAL_MARGIN = 1e-9
 
-#: Near the centre (1/3, 1/3) the solid and dash-dot boundary bands overlap
-#: and the rule lets every point inside both fall through as the centre.
-#: With c2 within BOUNDARY_TOL of 1/3 that overlap reaches a few 1e-6 from
-#: a = 1/3, while the feasible interval there is narrower than 1e-5.
-CENTRE_BAND_A = 1e-5
-
-
-def in_centre_band(a, c2):
-    return c2 - 1.0 / 3.0 <= BOUNDARY_TOL and abs(a - 1.0 / 3.0) <= CENTRE_BAND_A
-
-
 @st.composite
 def points_near_feasible_interval(draw):
     c2 = draw(st.floats(1.0 / 3.0, 1.0))
@@ -430,7 +435,7 @@ class TestFeasibilityAgreesWithInterval:
     def test_property(self, point):
         """Inside the interval by more than the margin: UniqueOrbit or a
         boundary class.  Outside it by more than the margin: never
-        UniqueOrbit, except in the centre band (see the next test)."""
+        UniqueOrbit."""
         a, c2, iv = point
         found = feasibility(a, c2)
         if iv.a_lo + INTERVAL_MARGIN < a < iv.a_hi - INTERVAL_MARGIN:
@@ -438,12 +443,8 @@ class TestFeasibilityAgreesWithInterval:
                              RegionClass.BOUNDARY_PSEUDO_PURE_SOLID,
                              RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT)
         elif a < iv.a_lo - INTERVAL_MARGIN or a > iv.a_hi + INTERVAL_MARGIN:
-            assert found is not RegionClass.UNIQUE_ORBIT or in_centre_band(a, c2)
+            assert found is not RegionClass.UNIQUE_ORBIT
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: inside both boundary bands the rule assumes the centre, "
-        "so a degenerate pair 4e-7 outside the one-point interval at c2 = 1/3 "
-        "is reported as UniqueOrbit"))
     def test_centre_band_point_outside_the_interval(self):
         a, c2 = 1.0 / 3.0 + 4e-7, 1.0 / 3.0
         assert a > feasible_interval(c2).a_hi + INTERVAL_MARGIN
@@ -460,7 +461,7 @@ class TestDomainSurvivesVectorisation:
     ])
     def test_region_grid_rejects_points_outside_the_domain(self, c2_values, a_values):
         with pytest.raises(ParameterOutOfRange):
-            region_grid(c2_values, a_values)
+            region_rows(c2_values, a_values)
 
     @pytest.mark.parametrize("a, c2", [(math.nan, 0.5), (0.5, math.nan)])
     def test_scalar_entry_points_reject_nan(self, a, c2):
