@@ -1,7 +1,8 @@
 """Dense complex-matrix foundation.
 
-Every eigensolve of the package, the positivity rule, trace invariants,
-density-matrix validation and convex combination.  Matrices are plain
+Every eigensolve of the package, the positivity rule and its batched
+Cholesky screen, trace invariants, density-matrix validation and convex
+combination.  Matrices are plain
 ``numpy.ndarray`` objects of dtype complex128; everything here is a pure
 function over immutable values, so the module is safe for concurrent use.
 """
@@ -13,6 +14,7 @@ import numbers
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import (
     DimensionMismatch,
@@ -35,6 +37,12 @@ MAX_DIM = 64
 
 #: Residual budget of the eigensolver, relative to ``max|H| * n``.
 EIG_RESIDUAL_FACTOR = 1e-10
+
+#: Half-width of the roundoff band of ``physical_mask``, relative to n times
+#: the scale of the matrices.  Cholesky's backward error is about
+#: n^2 eps |M| and eigvalsh's about n eps |M|, both far below it for
+#: n <= 64; a wider band only sends more matrices to eigvalsh.
+SCREEN_MARGIN = 1e-12
 
 
 def check_tolerance(tol: float, name: str = "tolerance") -> float:
@@ -134,10 +142,50 @@ def hermitian_eigensystem(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
 
 def positivity_test(matrices, tol: float = DEFAULT_TOL):
     """``(physical, spectra)`` of one Hermitian n x n matrix or a stack: the
-    ascending eigenvalues, and whether the smallest is >= -tol * n."""
+    ascending eigenvalues, and whether the smallest is >= -tol * n.
+
+    The one home of the positivity rule.  ``physical_mask`` gives the same
+    verdicts without the spectra: it settles each matrix by Cholesky outside
+    a roundoff band around -tol * n and sends only the band here.
+    """
     tol = check_tolerance(tol)
     spectra = np.linalg.eigvalsh(matrices)
     return spectra[..., 0] >= -tol * spectra.shape[-1], spectra
+
+
+def _definite(stack: np.ndarray, shift: float) -> np.ndarray:
+    """Per matrix of ``stack``: whether LAPACK Cholesky factors it + shift * I.
+    Overwrites ``stack`` with the factors, so callers pass a copy."""
+    diag = np.arange(stack.shape[-1])
+    stack[..., diag, diag] += shift
+    # numpy's private gufunc behind np.linalg.cholesky: it fills a failed
+    # factor with NaN instead of raising for the whole stack (a test pins it)
+    with np.errstate(invalid="ignore"):
+        _umath_linalg.cholesky_lo(stack, out=stack, signature="D->D")
+    return ~np.isnan(stack[..., -1, -1])
+
+
+def physical_mask(stack, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``positivity_test(stack, tol)[0]`` for a finite Hermitian stack,
+    without the spectra.
+
+    Cholesky at the shift tol*n + margin fails only if the smallest
+    eigenvalue is below -tol * n (not physical), and at tol*n - margin
+    succeeds only if it is above (physical), with
+    ``margin = SCREEN_MARGIN * n * max(max|entry|, tol * n, 1)``.  The
+    matrices between the two, the roundoff band, go to ``positivity_test``.
+    """
+    tol = check_tolerance(tol)
+    stack = np.asarray(stack, dtype=np.complex128)
+    n = stack.shape[-1]
+    flat = stack.reshape(-1, n, n)
+    margin = SCREEN_MARGIN * n * max(float(np.abs(flat).max(initial=0.0)), tol * n, 1.0)
+    mask = _definite(flat.copy(), tol * n + margin)
+    band = mask.copy()
+    band[mask] = ~_definite(flat[mask], tol * n - margin)
+    if band.any():
+        mask[band] = positivity_test(flat[band], tol)[0]
+    return mask.reshape(stack.shape[:-2])
 
 
 class DensityMatrix:

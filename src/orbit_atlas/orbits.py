@@ -191,9 +191,13 @@ def entropy_of_spectrum(values):
     """-sum(w log w) along the last axis, with 0 log 0 = 0 (nats).
 
     Entries are clipped into [0, 1] first.  One spectrum gives a float, a
-    stack of spectra an array with one entropy per spectrum.
+    stack of spectra an array with one entropy per spectrum.  Raises
+    ValidationError for a NaN or infinite entry anywhere in the input.
     """
-    w = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
+    w = np.asarray(values, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValidationError("cannot take the entropy of a non-finite spectrum")
+    w = np.clip(w, 0.0, 1.0)
     value = -(w * np.log(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
     value = np.where(value > 0.0, value, 0.0)
     return float(value) if value.ndim == 0 else value

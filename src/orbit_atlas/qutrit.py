@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ParameterOutOfRange
-from .linalg import DEFAULT_TOL, _as_rng, _check_int, positivity_test
+from .linalg import DEFAULT_TOL, _as_rng, _check_int, physical_mask
 from .orbits import entropy_of_spectrum
 from .pauli import _check_dense_dim, _traceless
 
@@ -280,7 +280,10 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     The samples stream through in chunks of ``MC_CHUNK`` drawn one after
     another from one generator, so memory is bounded by one chunk whatever
     ``samples`` is, and the result is that of one monolithic draw.  The
-    chunk is a dense (MC_CHUNK, n, n) stack, so n <= 16.
+    chunk is a dense (MC_CHUNK, n, n) stack, so n <= 16.  Its verdicts come
+    from ``physical_mask``: a Cholesky screen at two shifts settles every
+    matrix outside a roundoff band around -tol * n, and ``positivity_test``
+    decides the band, so each verdict is the eigenvalue rule's.
     """
     n = _check_dense_dim(n)
     samples = _check_int(samples, "samples", 1)
@@ -295,5 +298,5 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
         norms[norms == 0.0] = 1.0  # measure-zero guard
         vecs = g * (radius / norms)[:, None]
         mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
-        hits += int(np.count_nonzero(positivity_test(mats, tol)[0]))
+        hits += int(np.count_nonzero(physical_mask(mats, tol)))
     return hits / samples

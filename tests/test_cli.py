@@ -14,9 +14,11 @@ from orbit_atlas import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "demos" / "output"
+GOLDENS = json.loads((ROOT / "bench" / "goldens.json").read_text(encoding="utf-8"))
 #: sha256 digests of the dataset commands' stdout, keyed by command line
-DATASET_DIGESTS = json.loads(
-    (ROOT / "bench" / "goldens.json").read_text(encoding="utf-8"))["datasets"]
+DATASET_DIGESTS = GOLDENS["datasets"]
+#: ``qutrit fraction`` stdout, keyed by "n=.. c2=.. samples=.. seed=.."
+FRACTION_GOLDENS = GOLDENS["montecarlo"]
 
 
 def run_cli(*argv, env_extra=None):
@@ -441,6 +443,24 @@ class TestGoldenOutput:
         out = main_stdout(capsys, ["qutrit", "fraction", "--n", "3", "--c2", "0.5",
                                    "--samples", "10000", "--seed", "5"])
         assert out == header + first
+
+    @pytest.mark.parametrize("key", [
+        "n=3 c2=0.6 samples=20000 seed=0",
+        "n=8 c2=0.16 samples=10000 seed=0",
+        "n=8 c2=0.18 samples=10000 seed=0",
+        "n=8 c2=0.22 samples=10000 seed=4",
+        "n=16 c2=0.075 samples=10000 seed=4",
+        "n=16 c2=0.085 samples=10000 seed=0",
+    ])
+    def test_fraction_mixed_regime(self, capsys, key):
+        # physical and non-physical samples in one run, so every verdict counts
+        argv = ["qutrit", "fraction"]
+        for item in key.split():
+            name, value = item.split("=")
+            argv += [f"--{name}", value]
+        out = main_stdout(capsys, argv).decode("utf-8")
+        assert out == FRACTION_GOLDENS[key]
+        assert 0.0 < float(out.splitlines()[1].split(",")[3]) < 1.0
 
 
 #: Flag settings that each command once accepted and never read.

@@ -1,7 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from orbit_atlas import (
     CoherenceVector,
@@ -33,7 +37,8 @@ from orbit_atlas import (
     trace_invariants,
     unitarily_equivalent,
 )
-from orbit_atlas.linalg import positivity_test
+from orbit_atlas import linalg
+from orbit_atlas.linalg import DEFAULT_TOL, SCREEN_MARGIN, physical_mask, positivity_test
 from orbit_atlas.qutrit import default_region_grid_axes, hermitian_a_grid
 
 
@@ -178,6 +183,83 @@ class TestPositivityTest:
         # the allowed negative slack is tol * n
         assert positivity_test(np.diag([1.0 + 2.5e-9, 0.0, -2.5e-9]), tol=1e-9)[0]
         assert not positivity_test(np.diag([1.0 + 2.5e-9, -2.5e-9]), tol=1e-9)[0]
+
+
+def planted_stack(n, lowest, seed):
+    """Hermitian n x n matrices U diag(w) U^dag with Haar U, one per entry of
+    ``lowest``, whose smallest eigenvalue is that entry and whose others lie
+    in [0.1, 0.9]."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for low in lowest:
+        u = random_unitary(n, rng)
+        m = (u * np.concatenate([[low], np.linspace(0.1, 0.9, n - 1)])) @ u.conj().T
+        mats.append((m + m.conj().T) / 2)
+    return np.array(mats)
+
+
+#: Offsets of the smallest eigenvalue from the threshold -tol * n.
+PLANTED_OFFSETS = [s * d for d in (1e-9, 1e-11, 1e-13, 1e-15) for s in (1, -1)] + [0.0]
+
+
+class TestPhysicalMask:
+    """The Cholesky screen gives positivity_test's verdict on every matrix."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_planted_band_matches_and_only_the_band_is_solved(self, monkeypatch, n, tol):
+        stack = planted_stack(n, [-tol * n + d for d in PLANTED_OFFSETS], 211 + n)
+        # entries are at most 0.9, so the margin is SCREEN_MARGIN * n
+        in_band = np.abs(PLANTED_OFFSETS) < SCREEN_MARGIN * n
+        solved = []
+
+        def counted(mats, tol=DEFAULT_TOL):
+            solved.append(mats.copy())
+            return positivity_test(mats, tol)
+
+        monkeypatch.setattr(linalg, "positivity_test", counted)
+        mask = physical_mask(stack, tol)
+        assert mask.tolist() == positivity_test(stack, tol)[0].tolist()
+        assert len(solved) == 1
+        assert np.array_equal(solved[0], stack[in_band])
+        assert mask[np.array(PLANTED_OFFSETS) > SCREEN_MARGIN * n].all()
+        assert not mask[np.array(PLANTED_OFFSETS) < -SCREEN_MARGIN * n].any()
+
+    @settings(max_examples=60)
+    @given(n=st.integers(2, 16), scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+           tol=st.sampled_from([0.0, 1e-12, DEFAULT_TOL, 1e-6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_hermitian_stacks_match(self, n, scale, tol, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+        generic = scale * (g + g.conj().transpose(0, 2, 1)) / 2
+        offsets = scale * rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9], 12)
+        planted = scale * planted_stack(n, (-tol * n + offsets) / scale, rng)
+        stack = np.concatenate([generic, planted])
+        assert physical_mask(stack, tol).tolist() == positivity_test(stack, tol)[0].tolist()
+
+    def test_one_matrix_gives_a_scalar_verdict(self):
+        for m in (np.eye(2) / 2, np.diag([1.0 + 2.5e-9, -2.5e-9]),
+                  np.diag([1.0 + 2.5e-9, 0.0, -2.5e-9])):
+            assert physical_mask(m).shape == ()
+            assert bool(physical_mask(m)) == bool(positivity_test(m)[0])
+
+    def test_cholesky_gufunc_gives_one_verdict_per_matrix(self):
+        # numpy's private gufunc: a failed factor is NaN, nothing is raised
+        eye = np.eye(3, dtype=np.complex128)
+        stack = np.stack([eye, -eye, eye])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(invalid="ignore"):
+                factor = _umath_linalg.cholesky_lo(stack, signature="D->D")
+            assert physical_mask(stack).tolist() == [True, False, True]
+        assert np.array_equal(factor[[0, 2]], stack[[0, 2]])
+        assert np.isnan(factor[1]).all()
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_empty_stack_gives_an_empty_mask(self, n):
+        mask = physical_mask(np.zeros((0, n, n), dtype=np.complex128))
+        assert mask.shape == (0,) and mask.dtype == bool
 
 
 class TestTraceInvariants:

@@ -267,6 +267,17 @@ class TestEntropy:
         assert [repr(v) for v in values.tolist()] == [repr(v) for v in singles]
         assert singles[0] == singles[1] == 0.0
 
+    @pytest.mark.parametrize("values", [
+        [0.5, math.nan, 0.5],
+        [0.5, math.inf],
+        [-math.inf, 1.0],
+        [[0.5, 0.5], [0.25, math.nan]],
+        [[1.0, 0.0], [math.inf, 0.0]],
+    ])
+    def test_non_finite_entry_is_refused(self, values):
+        with pytest.raises(ValidationError, match="non-finite"):
+            entropy_of_spectrum(values)
+
     def test_pure_state_zero(self):
         assert von_neumann_entropy(diag_state(1.0, 0.0, 0.0)) == 0.0
 

@@ -478,6 +478,26 @@ class TestDomainSurvivesVectorisation:
             fig3_curve(c2, [0.4, a])
 
 
+def exact_qutrit_fraction(c2):
+    """Physical share of the n = 3 sphere of purity c2: 1 for c2 <= 1/2, else
+    1 - (6/pi)(alpha/2 - sin(6 alpha)/12) with alpha = arccos(1/sqrt(6 c2 - 2))."""
+    if c2 <= 0.5:
+        return 1.0
+    alpha = math.acos(1 / math.sqrt(6 * c2 - 2))
+    return 1 - (6 / math.pi) * (alpha / 2 - math.sin(6 * alpha) / 12)
+
+
+def weyl_qutrit_fraction(c2, points=200_000):
+    """The same share by quadrature: by the Weyl integration formula the
+    spectrum of a uniform direction has density ~ Vandermonde^2 on the circle
+    sum(w) = 1, sum(w^2) = c2, and the share is the weight of min(w) >= 0."""
+    theta = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
+    e1, e2 = np.array([1, -1, 0]) / math.sqrt(2), np.array([1, 1, -2]) / math.sqrt(6)
+    w = 1 / 3 + math.sqrt(c2 - 1 / 3) * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2)
+    weight = ((w[:, 0] - w[:, 1]) * (w[:, 0] - w[:, 2]) * (w[:, 1] - w[:, 2])) ** 2
+    return float(weight[w.min(axis=1) >= 0].sum() / weight.sum())
+
+
 class TestSpherePhysicalFraction:
     def test_qubit_sphere_fully_physical(self):
         assert sphere_physical_fraction(2, 0.8, 2000, seed=1) == 1.0
@@ -509,6 +529,23 @@ class TestSpherePhysicalFraction:
                  for v in vecs]
         assert frac == pytest.approx(np.mean(flags), abs=1e-12)
 
+    @pytest.mark.parametrize("c2", [0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 1.0])
+    def test_closed_form_is_the_weyl_integral(self, c2):
+        assert exact_qutrit_fraction(c2) == pytest.approx(weyl_qutrit_fraction(c2), abs=2e-5)
+
+    @pytest.mark.parametrize("c2, seed", [(0.55, 41), (0.6, 42), (0.7, 43), (0.8, 44)])
+    def test_qutrit_sampler_matches_the_closed_form(self, c2, seed):
+        samples = 20_000
+        exact = exact_qutrit_fraction(c2)
+        frac = sphere_physical_fraction(3, c2, samples, seed=seed)
+        assert abs(frac - exact) <= 4 * math.sqrt(exact * (1 - exact) / samples)
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16])
+    def test_inscribed_ball_is_all_physical(self, n):
+        # |s|^2 <= 1/(n(n-1)), i.e. c2 <= 1/(n-1), is the ball inside the states
+        for c2 in (1 / (n - 1), (1 / n + 1 / (n - 1)) / 2):
+            assert sphere_physical_fraction(n, c2, 5000, seed=n) == 1.0
+
     def test_domain_errors(self):
         with pytest.raises(ParameterOutOfRange):
             sphere_physical_fraction(3, 1 / 3, 10, seed=0)
@@ -529,7 +566,7 @@ def monolithic_fraction(n, c2, samples, seed):
 class TestStreamedMonteCarlo:
     @pytest.mark.parametrize("samples", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1,
                                          3 * MC_CHUNK + 5])
-    @pytest.mark.parametrize("n, c2", [(3, 0.6), (8, 0.18)])
+    @pytest.mark.parametrize("n, c2", [(3, 0.6), (8, 0.18), (16, 0.085)])
     def test_chunks_give_the_monolithic_result(self, n, c2, samples):
         frac = sphere_physical_fraction(n, c2, samples, seed=samples)
         assert 0.0 < frac < 1.0
