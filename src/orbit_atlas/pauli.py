@@ -15,10 +15,14 @@ same vector scaled by two.  The squared length of the coherence vector obeys
 
 Each off-diagonal element has two nonzero entries and each diagonal one
 lies on the diagonal (generalized Gell-Mann matrices; Bertlmann and
-Krammer, J. Phys. A 41, 235303 (2008)), so
-``_index_maps`` writes the order above as O(n^2) index maps, and embedding
-and reconstruction gather and scatter entries for 2 <= n <= 64.  Only
-``generate_basis`` builds dense matrices, for n <= 16.
+Krammer, J. Phys. A 41, 235303 (2008)), so ``_index_maps`` writes the order
+above as O(n^2) index maps, cached per n, for 2 <= n <= 64.  Embedding
+gathers entries through them.  Reconstruction is one scatter, ``_expand``,
+which writes identity * I together with sum_k s_k sigma_k into one array:
+``from_coherence_vector`` and the Monte Carlo sampler of ``qutrit`` call it
+with identity 1/n, and ``generate_basis``, the only dense path (n <= 16),
+with identity 0.  ``convert_convention`` is the one place that knows the
+Bloch factor of two.
 """
 
 from __future__ import annotations
@@ -38,10 +42,17 @@ MAX_BASIS_DIM = 16  # dense basis: (n^2 - 1) n^2 entries, 268 MB at n = 64
 
 
 class Convention(enum.Enum):
-    """Scaling convention of a stored vector: Bloch is 2x coherence."""
+    """Scaling convention of a stored vector: Bloch is 2x coherence.
+
+    ``Convention(value)`` takes a member or its value string and raises
+    ValidationError for anything else."""
 
     COHERENCE = "coherence"
     BLOCH = "bloch"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"unknown convention {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,49 +88,54 @@ class CoherenceVector:
             raise ValidationError("coherence vector has a non-finite component")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "convention", Convention(self.convention))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.components))
 
 
 @lru_cache(maxsize=None)
-def _index_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, diag)``, the basis order (read-only).
+def _index_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, diag, pick)``, the basis order (read-only).
 
     Components p and m + p, m = n(n-1)/2, are the symmetric and antisymmetric
     elements of the pair (rows[p], cols[p]) in upper-triangle order.  Row
     k - 1 of ``diag`` is element 2m + k - 1: c_k on levels 0..k-1 and -k c_k
-    on level k, c_k = 1/sqrt(k(k+1)).
+    on level k, c_k = 1/sqrt(k(k+1)).  ``pick`` is the scatter index of
+    ``_expand``: the ``source`` column (sym, asym, -asym, diagonal, zero) of
+    each real and imaginary part of an n x n matrix, row by row.
     """
     rows, cols = np.triu_indices(n, 1)
     k = np.arange(1, n)
     c = 1.0 / np.sqrt(k * (k + 1.0))
     diag = np.tri(n - 1, n) * c[:, None]
     diag[k - 1, k] = -k * c
-    for a in (rows, cols, diag):
-        a.setflags(write=False)
-    return rows, cols, diag
-
-
-def _traceless(comps, n: int) -> np.ndarray:
-    """``sum_k s_k sigma_k`` as (..., n, n) complex matrices for components
-    of shape (..., n^2 - 1): each real and imaginary part of the result takes
-    its ``pick`` column of ``source`` (sym, asym, -asym, diagonal, zero)."""
-    rows, cols, diag = _index_maps(n)
-    m = rows.shape[0]
-    p = np.arange(m)
-    comps = np.asarray(comps, dtype=float)
-    source = np.zeros(comps.shape[:-1] + (3 * m + n + 1,))
-    np.multiply(comps[..., :2 * m], 1.0 / sqrt(2.0), out=source[..., :2 * m])
-    np.negative(source[..., m:2 * m], out=source[..., 2 * m:3 * m])
-    source[..., 3 * m:-1] = comps[..., 2 * m:] @ diag
+    m, p = len(rows), np.arange(len(rows))
     upper, lower = 2 * (rows * n + cols), 2 * (cols * n + rows)
     pick = np.full(2 * n * n, 3 * m + n)
     pick[upper] = pick[lower] = p
     pick[upper + 1], pick[lower + 1] = 2 * m + p, m + p
     pick[2 * (n + 1) * np.arange(n)] = 3 * m + np.arange(n)
-    out = source.take(pick, axis=-1).view(np.complex128)
-    return out.reshape(comps.shape[:-1] + (n, n))
+    for a in (rows, cols, diag, pick):
+        a.setflags(write=False)
+    return rows, cols, diag, pick
+
+
+def _expand(comps, n: int, identity: float) -> np.ndarray:
+    """``identity * I + sum_k s_k sigma_k`` as (..., n, n) complex matrices
+    for components of shape (..., n^2 - 1), written by one ``take`` of the
+    ``pick`` columns of ``source``.  ``identity`` joins the diagonal column
+    and every zero is made +0.0, so the result is bit for bit that of adding
+    ``identity * I`` to the scatter of the components alone."""
+    rows, _, diag, pick = _index_maps(n)
+    m = rows.shape[0]
+    comps = np.asarray(comps, dtype=float)
+    source = np.zeros(comps.shape[:-1] + (3 * m + n + 1,))
+    np.multiply(comps[..., :2 * m], 1.0 / sqrt(2.0), out=source[..., :2 * m])
+    np.negative(source[..., m:2 * m], out=source[..., 2 * m:3 * m])
+    source[..., 3 * m:-1] = comps[..., 2 * m:] @ diag + identity
+    source += 0.0  # -0.0 becomes +0.0, as adding the zeros of identity * I makes it
+    return source.take(pick, axis=-1).view(np.complex128).reshape(comps.shape[:-1] + (n, n))
 
 
 def _check_dense_dim(n: int) -> int:
@@ -132,7 +148,7 @@ def generate_basis(n: int) -> PauliBasis:
     """Orthonormal traceless Hermitian basis for dimension n (2 <= n <= 16),
     as dense read-only matrices."""
     n = _check_dense_dim(n)
-    stack = _traceless(np.eye(n * n - 1), n)
+    stack = _expand(np.eye(n * n - 1), n, 0.0)
     identity = np.eye(n, dtype=np.complex128) / sqrt(n)
     for a in (stack, identity):
         a.setflags(write=False)
@@ -147,12 +163,11 @@ def to_coherence_vector(rho: DensityMatrix) -> CoherenceVector:
     the state reports.  The implied identity coefficient 1/sqrt(n) is fixed
     by the unit trace and is not stored.
     """
-    rows, cols, diag = _index_maps(rho.dim)
+    rows, cols, diag, _ = _index_maps(rho.dim)
     lower = sqrt(2.0) * rho.matrix[cols, rows]
     comps = np.concatenate(
         (lower.real, lower.imag, diag @ rho.matrix.diagonal().real))
-    return CoherenceVector(dim=rho.dim, components=comps,
-                           convention=Convention.COHERENCE)
+    return CoherenceVector(rho.dim, comps)
 
 
 def from_coherence_vector(vec: CoherenceVector) -> np.ndarray:
@@ -160,13 +175,10 @@ def from_coherence_vector(vec: CoherenceVector) -> np.ndarray:
 
     The result is Hermitian with unit trace but not necessarily positive:
     for n > 2 most of the boundary sphere does not correspond to states.
-    Bloch-convention input is rescaled before reconstruction.
+    Bloch-convention input is rescaled by ``convert_convention`` first.
     """
-    comps = vec.components
-    if vec.convention is Convention.BLOCH:
-        comps = comps / 2.0
-    n = vec.dim
-    return np.eye(n, dtype=np.complex128) / n + _traceless(comps, n)
+    comps = convert_convention(vec, Convention.COHERENCE).components
+    return _expand(comps, vec.dim, 1.0 / vec.dim)
 
 
 def is_physical_vector(vec: CoherenceVector,
@@ -179,9 +191,11 @@ def is_physical_vector(vec: CoherenceVector,
 
 def convert_convention(vec: CoherenceVector,
                        target: Convention) -> CoherenceVector:
-    """Rescale between conventions; converting twice returns the input."""
+    """Rescale between conventions; converting twice returns the input.
+    ``target`` is a Convention or its value string (ValidationError
+    otherwise)."""
+    target = Convention(target)
     if vec.convention is target:
         return vec
     factor = 2.0 if target is Convention.BLOCH else 0.5
-    return CoherenceVector(dim=vec.dim, components=vec.components * factor,
-                           convention=target)
+    return CoherenceVector(vec.dim, vec.components * factor, target)

@@ -40,7 +40,7 @@ import numpy as np
 from .exceptions import ParameterOutOfRange
 from .linalg import DEFAULT_TOL, _as_rng, _check_int, physical_mask
 from .orbits import entropy_of_spectrum
-from .pauli import _check_dense_dim, _traceless
+from .pauli import _check_dense_dim, _expand
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
 #: and rounding must neither push it into the non-Hermitian class nor split
@@ -280,7 +280,9 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     The samples stream through in chunks of ``MC_CHUNK`` drawn one after
     another from one generator, so memory is bounded by one chunk whatever
     ``samples`` is, and the result is that of one monolithic draw.  The
-    chunk is a dense (MC_CHUNK, n, n) stack, so n <= 16.  Its verdicts come
+    chunk is a dense (MC_CHUNK, n, n) stack, so n <= 16, written by the one
+    reconstruction scatter of ``pauli`` with I/n on its diagonal, so no
+    second stack holds the identity part.  Its verdicts come
     from ``physical_mask``: a Cholesky screen at two shifts settles every
     matrix outside a roundoff band around -tol * n, and ``positivity_test``
     decides the band, so each verdict is the eigenvalue rule's.
@@ -297,6 +299,6 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
         norms = np.linalg.norm(g, axis=1)
         norms[norms == 0.0] = 1.0  # measure-zero guard
         vecs = g * (radius / norms)[:, None]
-        mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
+        mats = _expand(vecs, n, 1.0 / n)
         hits += int(np.count_nonzero(physical_mask(mats, tol)))
     return hits / samples

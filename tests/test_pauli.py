@@ -10,6 +10,7 @@ from orbit_atlas import (
     CoherenceVector,
     DensityMatrix,
     DimensionOutOfRange,
+    ValidationError,
     convert_convention,
     from_coherence_vector,
     generate_basis,
@@ -18,7 +19,7 @@ from orbit_atlas import (
     random_density_matrix,
     to_coherence_vector,
 )
-from orbit_atlas.pauli import _traceless
+from orbit_atlas.pauli import MAX_BASIS_DIM, _expand, _index_maps
 
 SQRT2 = np.sqrt(2.0)
 
@@ -47,6 +48,12 @@ def gell_mann_reference(n):
         d[l, l] = -l
         diagonal.append(math.sqrt(2.0 / (l * (l + 1))) * d)
     return np.stack(symmetric + antisymmetric + diagonal) / math.sqrt(2.0)
+
+
+def unfolded_reconstruction(comps, n):
+    """I/n added as a second complex array to the scatter of the components
+    alone: the reconstruction before the identity joined the scatter."""
+    return np.eye(n, dtype=np.complex128) / n + _expand(comps, n, 0.0)
 
 
 def gram_matrix(basis):
@@ -162,17 +169,46 @@ class TestIndexMaps:
     def test_scatter_matches_dense_reference(self, n):
         comps = np.random.default_rng(73 + n).standard_normal(n * n - 1)
         want = np.tensordot(comps, dense_stack(n), axes=(0, 0))
-        assert np.abs(_traceless(comps, n) - want).max() <= 1e-15
+        assert np.abs(_expand(comps, n, 0.0) - want).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_monte_carlo_assembly_is_bit_equal(self, n):
-        # the sampler's batch assembly reproduces the dense tensordot to the
-        # last bit, which keeps seeded fractions byte-identical
+        # the sampler's batch assembly, identity folded in, reproduces the
+        # dense tensordot plus I/n to the last bit, which keeps seeded
+        # fractions byte-identical
         g = np.random.default_rng(79 + n).standard_normal((500, n * n - 1))
         vecs = g * (0.3 / np.linalg.norm(g, axis=1))[:, None]
         center = np.eye(n, dtype=np.complex128) / n
         want = center + np.tensordot(vecs, dense_stack(n), axes=(1, 0))
-        assert np.array_equal(center + _traceless(vecs, n), want)
+        assert _expand(vecs, n, 1.0 / n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
+    def test_reconstruction_is_bit_equal_to_the_unfolded_form(self, n):
+        # every bit, the sign of zeros included, is that of I/n added to the
+        # traceless part; eigvalsh and the Cholesky screen read these bits.
+        # A one-vector tensordot sums the diagonal in another order, so the
+        # dense reference agrees in value only.
+        rng = np.random.default_rng(83 + n)
+        for trial in range(6):
+            comps = 0.1 * rng.standard_normal(n * n - 1)
+            u = rng.random(n * n - 1)
+            comps[u < 0.3], comps[u > 0.7] = 0.0, -0.0
+            if trial < 2:
+                comps[:] = (0.0, -0.0)[trial]
+            for conv in Convention:
+                vec = CoherenceVector(n, comps, conv)
+                coherence = comps / 2.0 if conv is Convention.BLOCH else comps
+                got = from_coherence_vector(vec)
+                assert got.tobytes() == unfolded_reconstruction(coherence, n).tobytes()
+                if n <= MAX_BASIS_DIM:
+                    dense = np.tensordot(coherence, dense_stack(n), axes=(0, 0))
+                    assert np.abs(got - np.eye(n) / n - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_scatter_index_is_cached_and_read_only(self, n):
+        pick = _index_maps(n)[3]
+        assert not pick.flags.writeable
+        assert _index_maps(n)[3] is pick
 
     @settings(max_examples=40)
     @given(n=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
@@ -252,3 +288,30 @@ class TestConventionConversion:
         rho = random_density_matrix(3, 67)
         bloch = convert_convention(to_coherence_vector(rho), Convention.BLOCH)
         assert np.abs(from_coherence_vector(bloch) - rho.matrix).max() <= 1e-10
+
+    def test_convention_string_is_coerced(self):
+        # a pure qubit state stored in the Bloch convention under its string
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        comps = 2.0 * to_coherence_vector(rho).components
+        vec = CoherenceVector(2, comps, "bloch")
+        assert vec.convention is Convention.BLOCH
+        assert np.abs(from_coherence_vector(vec) - rho.matrix).max() <= 1e-15
+        physical, smallest = is_physical_vector(vec)
+        assert physical and abs(smallest) <= 1e-15
+        assert CoherenceVector(2, comps, "coherence").convention is Convention.COHERENCE
+
+    @pytest.mark.parametrize("bad", ["foo", "Bloch", "", None, 2, ["bloch"]])
+    def test_unknown_convention_is_refused(self, bad):
+        with pytest.raises(ValidationError, match="unknown convention"):
+            CoherenceVector(2, np.zeros(3), bad)
+        vec = CoherenceVector(2, np.array([0.0, 0.0, 0.5]))
+        with pytest.raises(ValidationError, match="unknown convention"):
+            convert_convention(vec, bad)
+
+    def test_convert_convention_takes_the_value_string(self):
+        vec = CoherenceVector(2, np.array([0.0, 0.0, 0.5]))
+        assert convert_convention(vec, "coherence") is vec
+        bloch = convert_convention(vec, "bloch")
+        assert bloch.convention is Convention.BLOCH
+        assert np.array_equal(bloch.components, [0.0, 0.0, 1.0])
+        assert convert_convention(bloch, "coherence").convention is Convention.COHERENCE

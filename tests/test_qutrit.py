@@ -26,7 +26,7 @@ from orbit_atlas import (
 from orbit_atlas.formats import fmt, write_region_csv
 from orbit_atlas.linalg import positivity_test
 from orbit_atlas.orbits import entropy_of_spectrum
-from orbit_atlas.pauli import CoherenceVector, _traceless
+from orbit_atlas.pauli import CoherenceVector, _expand
 from orbit_atlas.qutrit import (
     BOUNDARY_TOL,
     K2_SNAP,
@@ -555,11 +555,11 @@ class TestSpherePhysicalFraction:
 
 def monolithic_fraction(n, c2, samples, seed):
     """The sampler in one piece: one draw of every direction, one stack of
-    every matrix and one positivity test."""
+    every matrix, I/n added as a second array, and one positivity test."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((samples, n * n - 1))
     vecs = g * (math.sqrt(c2 - 1 / n) / np.linalg.norm(g, axis=1))[:, None]
-    mats = np.eye(n, dtype=np.complex128) / n + _traceless(vecs, n)
+    mats = np.eye(n, dtype=np.complex128) / n + _expand(vecs, n, 0.0)
     return float(np.mean(positivity_test(mats)[0]))
 
 
