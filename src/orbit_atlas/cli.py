@@ -122,8 +122,8 @@ def cmd_bloch(args) -> int:
     if args.to_vector:
         rho = DensityMatrix(formats.parse_matrix_obj(obj), tol=tol)
         vec = to_coherence_vector(rho)
-        if args.convention == "bloch":
-            vec = convert_convention(vec, Convention.BLOCH)
+        if args.convention is not None:
+            vec = convert_convention(vec, args.convention)
         out = formats.vector_to_obj(vec)
     else:
         vec = formats.parse_vector_obj(obj)
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="input is a matrix file; emit its vector")
     direction.add_argument("--to-matrix", action="store_true",
                            help="input is a vector file; emit its matrix")
-    p.add_argument("--convention", choices=("coherence", "bloch"),
+    p.add_argument("--convention", choices=[c.value for c in Convention],
                    help="scaling of the --to-vector output (default coherence)")
     p.add_argument("--check", action="store_true",
                    help="also report positivity and the smallest eigenvalue")

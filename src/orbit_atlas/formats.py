@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from . import qutrit
-from .exceptions import ParseError
+from .exceptions import ParseError, ValidationError
 from .pauli import Convention, CoherenceVector
 
 
@@ -69,16 +69,18 @@ def parse_vector_obj(obj) -> CoherenceVector:
         _require(key in obj, f'vector file missing "{key}"')
     n = obj["dim"]
     _require(isinstance(n, int) and n >= 2, f'"dim" must be an integer >= 2, got {n!r}')
-    conv = obj["convention"]
-    _require(conv in ("coherence", "bloch"),
-             f'"convention" must be "coherence" or "bloch", got {conv!r}')
+    try:
+        conv = Convention(obj["convention"])
+    except ValidationError:
+        names = " or ".join(f'"{c.value}"' for c in Convention)
+        raise ParseError(f'"convention" must be {names}, got {obj["convention"]!r}') from None
     try:
         comps = np.array(obj["components"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"vector components are not numeric: {exc}") from exc
     _require(comps.ndim == 1 and comps.shape[0] == n * n - 1,
              f'"components" must hold {n * n - 1} reals, got shape {comps.shape}')
-    return CoherenceVector(dim=n, components=comps, convention=Convention(conv))
+    return CoherenceVector(dim=n, components=comps, convention=conv)
 
 
 def vector_to_obj(vec: CoherenceVector) -> dict:

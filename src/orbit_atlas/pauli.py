@@ -121,21 +121,36 @@ def _index_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rows, cols, diag, pick
 
 
-def _expand(comps, n: int, identity: float) -> np.ndarray:
+def _expand_buffers(lead: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty ``(source, result)`` arrays of ``_expand`` for components of
+    shape lead + (n^2 - 1,)."""
+    m = n * (n - 1) // 2
+    return (np.empty(lead + (3 * m + n + 1,)),
+            np.empty(lead + (n, n), dtype=np.complex128))
+
+
+def _expand(comps, n: int, identity: float, out=None) -> np.ndarray:
     """``identity * I + sum_k s_k sigma_k`` as (..., n, n) complex matrices
     for components of shape (..., n^2 - 1), written by one ``take`` of the
     ``pick`` columns of ``source``.  ``identity`` joins the diagonal column
     and every zero is made +0.0, so the result is bit for bit that of adding
-    ``identity * I`` to the scatter of the components alone."""
+    ``identity * I`` to the scatter of the components alone.  ``out``, C-
+    contiguous arrays shaped as ``_expand_buffers`` makes them, is written
+    instead of allocating ``source`` and the result."""
     rows, _, diag, pick = _index_maps(n)
     m = rows.shape[0]
     comps = np.asarray(comps, dtype=float)
-    source = np.zeros(comps.shape[:-1] + (3 * m + n + 1,))
+    lead = comps.shape[:-1]
+    source, result = out or _expand_buffers(lead, n)
     np.multiply(comps[..., :2 * m], 1.0 / sqrt(2.0), out=source[..., :2 * m])
     np.negative(source[..., m:2 * m], out=source[..., 2 * m:3 * m])
     source[..., 3 * m:-1] = comps[..., 2 * m:] @ diag + identity
+    source[..., -1] = 0.0
     source += 0.0  # -0.0 becomes +0.0, as adding the zeros of identity * I makes it
-    return source.take(pick, axis=-1).view(np.complex128).reshape(comps.shape[:-1] + (n, n))
+    # mode="clip" writes straight into ``out``; "raise" would buffer a copy
+    source.take(pick, axis=-1, out=result.view(np.float64).reshape(lead + (2 * n * n,)),
+                mode="clip")
+    return result
 
 
 def _check_dense_dim(n: int) -> int:

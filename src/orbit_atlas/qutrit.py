@@ -27,12 +27,18 @@ entropies from ``orbits.entropy_of_spectrum``.
 
 The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
+``sphere_physical_fraction`` streams the samples in chunks sized by bytes
+(``MC_CHUNK_BYTES``) through two stages: the calling thread draws and
+assembles one chunk while one helper thread screens the one before; memory
+is bounded by two chunks, and the result, a sum of integer chunk counts,
+does not depend on the thread timing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,7 @@ import numpy as np
 from .exceptions import ParameterOutOfRange
 from .linalg import DEFAULT_TOL, _as_rng, _check_int, physical_mask
 from .orbits import entropy_of_spectrum
-from .pauli import _check_dense_dim, _expand
+from .pauli import _check_dense_dim, _expand, _expand_buffers
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
 #: and rounding must neither push it into the non-Hermitian class nor split
@@ -52,8 +58,13 @@ BOUNDARY_TOL = 1e-10
 
 A_MIN_CANONICAL = 1.0 / 3.0
 
-#: Samples the Monte Carlo sampler draws, assembles and tests at a time.
-MC_CHUNK = 4096
+#: Bytes of complex matrices in one Monte Carlo chunk (2 MiB: 512 samples
+#: at n = 16, 2048 at n = 8), so a chunk's stack stays near the cache size.
+MC_CHUNK_BYTES = 2 ** 21
+
+#: Most samples in one Monte Carlo chunk (reached at n <= 5), so that a call
+#: at small n still spans enough chunks for its two stages to overlap.
+MC_CHUNK_MAX = 4096
 
 #: Most a-values one dataset grid may hold, which bounds the time of one
 #: dataset run and the memory of one grid row.
@@ -270,6 +281,34 @@ def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
     return list(zip(a[keep].tolist(), entropy.tolist()))
 
 
+class _Screen(threading.Thread):
+    """Counts the physical matrices of one Monte Carlo chunk with
+    ``physical_mask``, off the calling thread."""
+
+    def __init__(self, mats: np.ndarray, tol: float):
+        super().__init__()
+        self.mats, self.tol, self.error = mats, tol, None
+
+    def run(self) -> None:
+        try:
+            self.hits = int(np.count_nonzero(physical_mask(self.mats, self.tol)))
+        except BaseException as exc:  # re-raised by ``result`` in the calling thread
+            self.error = exc
+
+    def result(self) -> int:
+        """The count, once the thread has ended; what the screen raised, if it did."""
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.hits
+
+
+def _mc_chunk(n: int) -> int:
+    """Samples per Monte Carlo chunk at dimension n: MC_CHUNK_BYTES of
+    complex (n, n) matrices, at most MC_CHUNK_MAX."""
+    return min(MC_CHUNK_BYTES // (16 * n * n), MC_CHUNK_MAX)
+
+
 def sphere_physical_fraction(n: int, c2: float, samples: int,
                              seed: int, tol: float = DEFAULT_TOL) -> float:
     """Fraction of a fixed-purity sphere occupied by physical states.
@@ -277,15 +316,21 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     Draws ``samples`` uniform directions on the unit sphere in R^(n^2 - 1)
     (normalized Gaussians), scales them to radius sqrt(c2 - 1/n) and tests
     positivity of the reconstructed matrices.  Deterministic per ``seed``.
-    The samples stream through in chunks of ``MC_CHUNK`` drawn one after
-    another from one generator, so memory is bounded by one chunk whatever
-    ``samples`` is, and the result is that of one monolithic draw.  The
-    chunk is a dense (MC_CHUNK, n, n) stack, so n <= 16, written by the one
-    reconstruction scatter of ``pauli`` with I/n on its diagonal, so no
-    second stack holds the identity part.  Its verdicts come
-    from ``physical_mask``: a Cholesky screen at two shifts settles every
-    matrix outside a roundoff band around -tol * n, and ``positivity_test``
-    decides the band, so each verdict is the eigenvalue rule's.
+
+    The samples stream through in chunks of ``_mc_chunk(n)``, sized by
+    bytes, in a two-stage pipeline.  The calling thread draws chunk k + 1
+    from the one generator, in order, scales it and writes its dense
+    (chunk, n, n) stack (so n <= 16) by the one reconstruction scatter of
+    ``pauli``, with I/n on its diagonal.  Meanwhile one helper thread (a
+    new one per chunk, never two at once) counts chunk k's physical
+    matrices with ``physical_mask``: a Cholesky screen at two shifts
+    settles every matrix outside a roundoff band around -tol * n, and
+    ``positivity_test`` decides the band, so each verdict is the eigenvalue
+    rule's.  Both stages write into buffers allocated once per call, two
+    chunk stacks taking turns, so memory is bounded by two chunks whatever
+    ``samples`` is.  The result is the integer sum of the chunk counts,
+    that of one monolithic draw whatever the thread timing.  An error in
+    the helper thread is raised here, and no thread outlives the call.
     """
     n = _check_dense_dim(n)
     samples = _check_int(samples, "samples", 1)
@@ -293,12 +338,27 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
         raise ParameterOutOfRange(f"c2={c2} outside (1/{n}, 1]")
     radius = math.sqrt(c2 - 1.0 / n)
     rng = _as_rng(seed)
-    hits = 0
-    for start in range(0, samples, MC_CHUNK):
-        g = rng.standard_normal((min(MC_CHUNK, samples - start), n * n - 1))
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0.0] = 1.0  # measure-zero guard
-        vecs = g * (radius / norms)[:, None]
-        mats = _expand(vecs, n, 1.0 / n)
-        hits += int(np.count_nonzero(physical_mask(mats, tol)))
+    size = min(_mc_chunk(n), samples)
+    draws, squares = np.empty((2, size, n * n - 1))
+    source, stack = _expand_buffers((size,), n)
+    stacks = (stack, np.empty_like(stack))
+    hits, screen = 0, None
+    try:
+        for k, start in enumerate(range(0, samples, size)):
+            count = min(size, samples - start)
+            g = rng.standard_normal(out=draws[:count])
+            # np.linalg.norm(g, axis=1) bit for bit, without its temporaries
+            norms = np.sqrt(np.square(g, out=squares[:count]).sum(axis=1))
+            norms[norms == 0.0] = 1.0  # measure-zero guard
+            np.multiply(g, (radius / norms)[:, None], out=g)
+            # chunk k - 2 last read stacks[k % 2]; its screen ended one iteration ago
+            mats = _expand(g, n, 1.0 / n, out=(source[:count], stacks[k % 2][:count]))
+            if screen is not None:
+                hits += screen.result()
+            screen = _Screen(mats, tol)
+            screen.start()
+        hits += screen.result()
+    finally:
+        if screen is not None:
+            screen.join()
     return hits / samples

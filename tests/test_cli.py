@@ -284,6 +284,25 @@ class TestBloch:
         assert obj["convention"] == "bloch"
         assert obj["components"][2] == pytest.approx(math.sqrt(2), abs=1e-10)
 
+    @pytest.mark.parametrize("name", ["foo", "BLOCH", "", None, ["bloch"], {"bloch": 1}])
+    def test_unknown_convention_in_vector_file_exits_2(self, tmp_path, capsys, name):
+        f = write_vector(tmp_path / "v.json", 2, [0.0, 0.0, 0.5], convention=name)
+        assert cli.main(["bloch", "--input", f, "--to-matrix"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f'"convention" must be "coherence" or "bloch", got {name!r}' in err
+
+    def test_convention_flag_offers_each_convention(self, capsys):
+        assert cli.main(["bloch", "--help"]) == 0
+        assert "--convention {coherence,bloch}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--convention", "coherence"]])
+    def test_coherence_output_is_the_default(self, tmp_path, flags):
+        f = write_matrix(tmp_path / "m.json", np.diag([0.7, 0.2, 0.1]))
+        res = run_cli("bloch", "--input", f, "--to-vector", *flags)
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["convention"] == "coherence"
+
 
 class TestTables:
     def test_three_level_table(self):

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,16 +25,18 @@ from orbit_atlas import (
     qutrit_from_params,
     sphere_physical_fraction,
 )
+from orbit_atlas import qutrit
+from orbit_atlas.exceptions import NoConvergence
 from orbit_atlas.formats import fmt, write_region_csv
-from orbit_atlas.linalg import positivity_test
+from orbit_atlas.linalg import physical_mask, positivity_test
 from orbit_atlas.orbits import entropy_of_spectrum
 from orbit_atlas.pauli import CoherenceVector, _expand
 from orbit_atlas.qutrit import (
     BOUNDARY_TOL,
     K2_SNAP,
-    MC_CHUNK,
     QutritRegionPoint,
     REGION_CURVES,
+    _mc_chunk,
     dashdot_curve,
     dashed_curve,
     default_region_grid_axes,
@@ -563,14 +567,28 @@ def monolithic_fraction(n, c2, samples, seed):
     return float(np.mean(positivity_test(mats)[0]))
 
 
+def assert_monolithic(n, c2, samples):
+    frac = sphere_physical_fraction(n, c2, samples, seed=samples)
+    assert 0.0 < frac < 1.0
+    assert frac == monolithic_fraction(n, c2, samples, seed=samples)
+
+
+#: One purity per n where some but not all states are physical.
+MIXED_PURITIES = [(3, 0.6), (8, 0.18), (16, 0.085)]
+
+
 class TestStreamedMonteCarlo:
-    @pytest.mark.parametrize("samples", [MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1,
-                                         3 * MC_CHUNK + 5])
-    @pytest.mark.parametrize("n, c2", [(3, 0.6), (8, 0.18), (16, 0.085)])
+    @pytest.mark.parametrize("samples", [4095, 4096, 4097, 12293])
+    @pytest.mark.parametrize("n, c2", MIXED_PURITIES)
     def test_chunks_give_the_monolithic_result(self, n, c2, samples):
-        frac = sphere_physical_fraction(n, c2, samples, seed=samples)
-        assert 0.0 < frac < 1.0
-        assert frac == monolithic_fraction(n, c2, samples, seed=samples)
+        assert_monolithic(n, c2, samples)
+
+    @pytest.mark.parametrize("chunks, extra", [(0, 100), (1, -1), (1, 0), (1, 1),
+                                               (3, 5)])
+    @pytest.mark.parametrize("n, c2", MIXED_PURITIES)
+    def test_chunk_edges_give_the_monolithic_result(self, n, c2, chunks, extra):
+        """Around one and three of the sampler's own chunks, and inside one."""
+        assert_monolithic(n, c2, chunks * _mc_chunk(n) + extra)
 
     def test_memory_does_not_grow_with_samples(self):
         peaks = []
@@ -583,6 +601,42 @@ class TestStreamedMonteCarlo:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 100 * 2 ** 20
+
+    def test_concurrent_callers_under_fast_thread_switching(self):
+        """Four callers on two cores, switching threads every microsecond:
+        each gets the monolithic fraction, so no buffer is shared."""
+        samples = 3 * _mc_chunk(8) + 5
+        want = monolithic_fraction(8, 0.18, samples, seed=samples)
+        got = []
+        callers = [threading.Thread(target=lambda: got.append(
+            sphere_physical_fraction(8, 0.18, samples, seed=samples))) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 4
+
+    def test_screen_error_is_raised_and_no_thread_is_left(self, monkeypatch):
+        screened = []
+
+        def failing_mask(stack, tol):
+            screened.append(len(stack))
+            if len(screened) == 2:
+                raise NoConvergence("screen failed")
+            return physical_mask(stack, tol)
+
+        monkeypatch.setattr(qutrit, "physical_mask", failing_mask)
+        threads = threading.active_count()
+        with pytest.raises(NoConvergence, match="screen failed"):
+            sphere_physical_fraction(16, 0.085, 4 * _mc_chunk(16), seed=1)
+        assert threading.active_count() == threads
+        assert len(screened) == 2
 
 
 class Discard:
