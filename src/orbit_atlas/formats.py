@@ -21,9 +21,20 @@ from .exceptions import ParseError, ValidationError
 from .pauli import Convention, CoherenceVector
 
 
+#: The one printf-style rule for every printed real: 12 significant digits.
+FLOAT = "%.12g"
+
+
 def fmt(x) -> str:
-    """Format one real number with 12 significant digits."""
-    return f"{float(x) + 0.0:.12g}"
+    """Format one real number by ``FLOAT``; -0.0 prints as 0."""
+    return FLOAT % (float(x) + 0.0)
+
+
+def _format_rows(template: str, rows) -> str:
+    """Every row of a 2-D float array through the ``%`` template ``template``,
+    as one string.  Each value is printed as ``fmt`` prints it."""
+    rows = np.asarray(rows, dtype=float)
+    return (template * len(rows)) % tuple((rows + 0.0).ravel().tolist())
 
 
 def _num(x) -> float:
@@ -107,8 +118,9 @@ def dump_json(obj, fh) -> None:
 
 
 # --------------------------------------------------------------------------
-# CSV emission.  Each writer formats its own columns: floats through ``fmt``,
-# integers through ``str``.
+# CSV emission.  Each writer formats its own columns: floats by ``FLOAT``,
+# integers through ``str``.  The qutrit dataset writers format whole float
+# columns with ``_format_rows``, never one point at a time.
 
 def write_orbit_table_csv(fh, rows) -> None:
     """`partition,manifold,dimension` with partitions like ``1+2``."""
@@ -119,25 +131,29 @@ def write_orbit_table_csv(fh, rows) -> None:
 def write_region_csv(fh, c2_values, a_values) -> None:
     """`a,c2,class,curve1,curve2,curve3` over the (c2, a) grid, c2-major.
 
-    The a and curve columns are formatted once and c2 once per row, and the
-    grid is classified and written one c2 row at a time.
+    The a cells and curve triples are formatted once, and each c2 row, one
+    at a time, joins them around its `c2,class` cell, one per class.
     """
-    a_list = np.asarray(a_values, dtype=float).tolist()
-    rows = qutrit.region_rows(c2_values, a_list)
-    cells = [(fmt(a), ",".join([fmt(f(a)) for f in qutrit.REGION_CURVES])) for a in a_list]
+    a = np.asarray(a_values, dtype=float)
+    rows = qutrit._region_code_rows(c2_values, a)
+    curves = np.stack([f(a) for f in qutrit.REGION_CURVES], axis=-1)
+    # the cells of grid point i in row c2: parts[3i:3i + 3], that is
+    # "a,", "c2,class" and ",curve1,curve2,curve3\n"
+    parts = [""] * (3 * len(a))
+    parts[0::3] = _format_rows(FLOAT + ",\n", a[:, None]).splitlines()
+    parts[2::3] = _format_rows(f",{FLOAT},{FLOAT},{FLOAT}\n", curves).splitlines(keepends=True)
     fh.write("a,c2,class,curve1,curve2,curve3\n")
-    # ``_value_`` is the plain attribute behind Enum's ``value`` property, and
-    # more than ten times cheaper to read once per grid point
-    for c2_value, classes in rows:
+    for c2_value, codes in rows:
         c2 = fmt(c2_value)
-        fh.write("".join([f"{a},{c2},{k._value_},{cs}\n" for (a, cs), k in zip(cells, classes)]))
+        cells = np.array([f"{c2},{k.value}" for k in qutrit._CLASS_ORDER], dtype=object)
+        parts[1::3] = cells[codes].tolist()
+        fh.write("".join(parts))
 
 
 def _write_curve_csv(fh, column, c2, points) -> None:
-    """`c2,a,<column>` rows of one figure curve at purity c2."""
-    c2_cell = fmt(c2)
-    fh.write(f"c2,a,{column}\n")
-    fh.writelines(f"{c2_cell},{fmt(a)},{fmt(v)}\n" for a, v in points)
+    """`c2,a,<column>` rows of one figure curve at purity c2; ``points`` is
+    an (N, 2) array of (a, value) rows."""
+    fh.write(f"c2,a,{column}\n" + _format_rows(f"{fmt(c2)},{FLOAT},{FLOAT}\n", points))
 
 
 def write_fig2_csv(fh, c2, points) -> None:

@@ -19,11 +19,14 @@ diag(a, (1-a)/2, (1-a)/2); points on the dash-dot curve are diag(a, a, 1-2a).
 One array kernel, ``_region_kernel``, maps (a, c2) arrays to (b, c, K) and a
 class code.  It is the one place the formula above, the K2_SNAP rule and the
 precedence of the region classes are written: ``qutrit_from_params`` calls it
-on one point, ``region_rows`` on one c2 row of a grid at a time, and
+on one point, ``_region_code_rows`` on one c2 row of a grid at a time, and
 ``fig2_curve`` and ``fig3_curve`` on a whole a-grid at once.  A classified
-grid is read only through ``region_rows``, which holds one row in memory,
-with ``REGION_CURVES`` for the curve values; ``fig3_curve`` takes its
-entropies from ``orbits.entropy_of_spectrum``.
+grid is read only through ``_region_code_rows`` (class codes, for the CSV
+writer) or ``region_rows`` (RegionClass lists), which hold one row in
+memory, with ``REGION_CURVES`` for the curve values; ``fig3_curve`` takes
+its entropies from ``orbits.entropy_of_spectrum``.  The figure curves are
+(N, 2) arrays of (a, value) rows, so their CSVs are formatted a whole
+column at a time.
 
 The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
@@ -238,21 +241,31 @@ def default_region_grid_axes(steps: int = DEFAULT_A_STEPS) -> tuple[np.ndarray, 
     return np.array(DEFAULT_C2_GRID), np.linspace(A_MIN_CANONICAL, 1.0, steps)
 
 
-def region_rows(c2_values, a_values):
-    """``(c2, classes)`` per c2 of a rectangular (c2, a) grid, in order.
+def _region_code_rows(c2_values, a_values):
+    """``(c2, codes)`` per c2 of a rectangular (c2, a) grid, in order.
 
-    ``classes`` lists the RegionClass of every a-value at that c2, from one
+    ``codes`` is the kernel's class-code array of that c2 row, from one
     kernel call per row.  Both axes are checked (ParameterOutOfRange) before
     this returns, so a refused grid raises here, not while it is iterated.
     """
     a_axis, c2_axis = np.asarray(a_values, dtype=float), np.asarray(c2_values, dtype=float)
     _check_domain(a_axis, c2_axis)
-    return ((c2, [_CLASS_ORDER[k] for k in _region_kernel(a_axis, c2)[3].tolist()])
-            for c2 in c2_axis.tolist())
+    return ((c2, _region_kernel(a_axis, c2)[3]) for c2 in c2_axis.tolist())
 
 
-def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
-    """Sum of the two largest-candidate eigenvalues, a + b = (1 + a + K)/2.
+def region_rows(c2_values, a_values):
+    """``(c2, classes)`` per c2 of a rectangular (c2, a) grid, in order.
+
+    ``classes`` lists the RegionClass of every a-value at that c2.  The grid
+    is checked as by ``_region_code_rows``, before this returns.
+    """
+    return ((c2, [_CLASS_ORDER[k] for k in codes.tolist()])
+            for c2, codes in _region_code_rows(c2_values, a_values))
+
+
+def fig2_curve(c2: float, a_values) -> np.ndarray:
+    """Sum of the two largest-candidate eigenvalues, a + b = (1 + a + K)/2,
+    as an (N, 2) array of (a, a + b) rows.
 
     Points with K^2 < 0 (no Hermitian matrix) are skipped.  Over the
     feasible interval the sequence is nonincreasing for c2 > 1/2 and has an
@@ -262,11 +275,12 @@ def fig2_curve(c2: float, a_values) -> list[tuple[float, float]]:
     _check_domain(a, c2)
     _, _, k, code = _region_kernel(a, c2)
     keep = code != 0  # _CLASS_ORDER[0] is NonHermitian
-    return list(zip(a[keep].tolist(), ((1.0 + a + k) / 2.0)[keep].tolist()))
+    return np.column_stack((a[keep], ((1.0 + a + k) / 2.0)[keep]))
 
 
-def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
-    """Entropy of diag(a, b, max(c, 0)) per grid point, physical points only.
+def fig3_curve(c2: float, a_values) -> np.ndarray:
+    """Entropy of diag(a, b, max(c, 0)) per grid point, physical points only,
+    as an (N, 2) array of (a, entropy) rows.
 
     Skips non-Hermitian points (K^2 < 0) and non-positive ones (c < 0);
     entropy is undefined off the state space.  Nondecreasing in a over the
@@ -278,7 +292,7 @@ def fig3_curve(c2: float, a_values) -> list[tuple[float, float]]:
     b, c, _, code = _region_kernel(a, c2)
     keep = (code != 0) & ~(c < -K2_SNAP)
     entropy = entropy_of_spectrum(np.stack([a, b, np.maximum(c, 0.0)], axis=-1)[keep])
-    return list(zip(a[keep].tolist(), entropy.tolist()))
+    return np.column_stack((a[keep], entropy))
 
 
 class _Screen(threading.Thread):

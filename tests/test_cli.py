@@ -439,8 +439,40 @@ def main_stdout(capsys, argv) -> bytes:
     return out.encode("utf-8")
 
 
+#: A 3-level state with complex coherences and a 2-level coherence vector,
+#: the inputs of the pinned ``classify`` and ``bloch`` outputs below.
+PINNED_MATRIX = {"dim": 3, "re": [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]],
+                 "im": [[0.0, 0.1, 0.0], [-0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+PINNED_VECTOR = {"dim": 2, "convention": "coherence", "components": [0.1, -0.2, 0.3]}
+_SPECTRUM = ["0.574636942881", "0.259187005094", "0.166176052025"]
+#: (argv, input file, JSON object whose ``json.dumps(indent=2)`` is the stdout)
+STATE_GOLDENS = [
+    (["classify"], PINNED_MATRIX, {
+        "dim": 3, "spectrum": _SPECTRUM, "distinct_values": _SPECTRUM,
+        "multiplicities": [1, 1, 1], "state_class": "Generic",
+        "manifold": "U(3)/[U(1)xU(1)xU(1)]", "orbit_dimension": 6,
+        "entropy": "0.96655165754", "coherence_radius": "0.30276503541",
+        "purity": "0.425"}),
+    (["bloch", "--to-vector", "--check"], PINNED_MATRIX, {
+        "dim": 3, "convention": "coherence",
+        "components": [0.141421356237, 0.0, 0.0707106781187, -0.141421356237,
+                       0.0, 0.0, 0.141421356237, 0.163299316186],
+        "physical": True, "min_eigenvalue": 0.166176052025}),
+    (["bloch", "--to-vector", "--convention", "bloch"], PINNED_MATRIX, {
+        "dim": 3, "convention": "bloch",
+        "components": [0.282842712475, 0.0, 0.141421356237, -0.282842712475,
+                       0.0, 0.0, 0.282842712475, 0.326598632371]}),
+    (["bloch", "--to-matrix", "--check"], PINNED_VECTOR, {
+        "dim": 2,
+        "re": [[0.712132034356, 0.0707106781187], [0.0707106781187, 0.287867965644]],
+        "im": [[0.0, 0.141421356237], [-0.141421356237, 0.0]],
+        "physical": True, "min_eigenvalue": 0.235424868894}),
+]
+
+
 class TestGoldenOutput:
-    """The CLI prints the committed demos/output bytes."""
+    """The CLI prints the committed demos/output bytes, the benchmark's
+    dataset digests and the pinned state reports."""
 
     def test_region(self, capsys):
         out = main_stdout(capsys, ["qutrit", "region"])
@@ -456,6 +488,20 @@ class TestGoldenOutput:
     def test_tables(self, capsys, what):
         out = main_stdout(capsys, ["tables", what])
         assert hashlib.sha256(out).hexdigest() == DATASET_DIGESTS[f"tables {what}"]["sha256"]
+
+    @pytest.mark.parametrize("key", sorted(DATASET_DIGESTS))
+    def test_dataset_digest(self, capsys, key):
+        out = main_stdout(capsys, key.split())
+        assert hashlib.sha256(out).hexdigest() == DATASET_DIGESTS[key]["sha256"]
+        assert out.count(b"\n") == DATASET_DIGESTS[key]["rows"] + 1
+
+    @pytest.mark.parametrize("argv, obj, want", STATE_GOLDENS,
+                             ids=[" ".join(g[0]) for g in STATE_GOLDENS])
+    def test_state_report(self, capsys, tmp_path, argv, obj, want):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = main_stdout(capsys, argv + ["--input", str(path)])
+        assert out == (json.dumps(want, indent=2) + "\n").encode("utf-8")
 
     def test_fraction(self, capsys):
         header, first = (OUTPUT / "fractions.csv").read_bytes().splitlines(keepends=True)[:2]

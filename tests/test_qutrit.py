@@ -27,7 +27,14 @@ from orbit_atlas import (
 )
 from orbit_atlas import qutrit
 from orbit_atlas.exceptions import NoConvergence
-from orbit_atlas.formats import fmt, write_region_csv
+from orbit_atlas.formats import (
+    FLOAT,
+    _format_rows,
+    fmt,
+    write_fig2_csv,
+    write_fig3_csv,
+    write_region_csv,
+)
 from orbit_atlas.linalg import physical_mask, positivity_test
 from orbit_atlas.orbits import entropy_of_spectrum
 from orbit_atlas.pauli import CoherenceVector, _expand
@@ -261,7 +268,7 @@ class TestFigureCurves:
     def test_fig3_skips_non_positive_points(self):
         # at c2 = 0.76, a = 0.6 sits on the ordering curve but c < 0
         points = fig3_curve(0.76, [0.6])
-        assert points == []
+        assert len(points) == 0
 
 
 # --------------------------------------------------------------------------
@@ -378,12 +385,8 @@ class TestKernelAgainstReference:
 
     def test_region_csv_renders_the_reference_grid(self):
         a_values = sorted({a for c2 in KERNEL_C2 for a in special_a_values(c2)})
-        buf = io.StringIO()
-        write_region_csv(buf, KERNEL_C2, a_values)
-        want = ["a,c2,class,curve1,curve2,curve3\n"] + [
-            ",".join([fmt(a), fmt(c2), k.value] + [fmt(v) for v in curves]) + "\n"
-            for a, c2, k, *curves in ref_region_grid(KERNEL_C2, a_values)]
-        assert buf.getvalue() == "".join(want)
+        assert render(write_region_csv, KERNEL_C2, a_values) == \
+            ref_region_csv(KERNEL_C2, a_values)
 
     @pytest.mark.parametrize("c2", KERNEL_C2)
     def test_scalar_entry_points(self, c2):
@@ -401,12 +404,12 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("c2", KERNEL_C2)
     def test_figure_curves(self, c2, steps):
         grid = np.concatenate([hermitian_a_grid(c2, steps), special_a_values(c2)])
-        assert bits(fig2_curve(c2, grid)) == bits(ref_fig2(c2, grid))
-        assert bits(fig3_curve(c2, grid)) == bits(ref_fig3(c2, grid))
+        assert bits(fig2_curve(c2, grid).tolist()) == bits(ref_fig2(c2, grid))
+        assert bits(fig3_curve(c2, grid).tolist()) == bits(ref_fig3(c2, grid))
 
     @pytest.mark.parametrize("c2", KERNEL_C2 + [0.4, 0.55, 0.6, 0.8])
     def test_fig3_is_entropy_of_spectrum(self, c2):
-        points = fig3_curve(c2, hermitian_a_grid(c2, 400))
+        points = fig3_curve(c2, hermitian_a_grid(c2, 400)).tolist()
         assert points
         for a, value in points:
             p = qutrit_from_params(a, c2)
@@ -418,6 +421,79 @@ class TestKernelAgainstReference:
 
     def test_hermitian_grid_collapses_at_minimal_purity(self):
         assert hermitian_a_grid(1.0 / 3.0, 7).tolist() == [1.0 / 3.0]
+
+
+# --------------------------------------------------------------------------
+# Per-value reference rendering: every cell through ``fmt``, one point at a
+# time, as the writers did before they formatted whole columns.
+
+
+def render(writer, *args) -> str:
+    buf = io.StringIO()
+    writer(buf, *args)
+    return buf.getvalue()
+
+
+def ref_region_csv(c2_values, a_values):
+    return "".join(["a,c2,class,curve1,curve2,curve3\n"] + [
+        ",".join([fmt(a), fmt(c2), k.value] + [fmt(v) for v in curves]) + "\n"
+        for a, c2, k, *curves in ref_region_grid(c2_values, a_values)])
+
+
+def ref_curve_csv(column, c2, points):
+    return "".join([f"c2,a,{column}\n"] +
+                   [f"{fmt(c2)},{fmt(a)},{fmt(v)}\n" for a, v in points])
+
+
+#: Doubles where 12-digit formatting is easy to get wrong: signed zeros,
+#: non-finite values, subnormals, the exponent switch points 1e-5 and 1e12
+#: on both sides, and random bit patterns.
+SPECIAL_DOUBLES = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-5, math.nextafter(1e-5, 0.0), 1e12,
+    math.nextafter(1e12, math.inf), 999999999999.5, -999999999999.5, 1 / 3,
+    *np.random.default_rng(3).integers(0, 2 ** 63, 2000).view(np.float64).tolist(),
+]
+
+
+class TestWritersAgainstReference:
+    """The column-at-a-time CSV writers print the bytes of the per-value
+    rendering."""
+
+    def test_fmt_follows_the_shared_spec(self):
+        for x in SPECIAL_DOUBLES:
+            assert fmt(x) == f"{x + 0.0:.12g}" == FLOAT % (x + 0.0)
+        column = np.array(SPECIAL_DOUBLES)[:, None]
+        assert _format_rows(FLOAT + "\n", column) == "".join(fmt(x) + "\n" for x in SPECIAL_DOUBLES)
+
+    @pytest.mark.parametrize("c2", KERNEL_C2)
+    def test_figure_csvs_on_grids_with_special_points(self, c2):
+        grid = np.concatenate([hermitian_a_grid(c2, 150), special_a_values(c2)])
+        assert render(write_fig2_csv, c2, fig2_curve(c2, grid)) == \
+            ref_curve_csv("a_plus_b", c2, ref_fig2(c2, grid))
+        assert render(write_fig3_csv, c2, fig3_curve(c2, grid)) == \
+            ref_curve_csv("entropy", c2, ref_fig3(c2, grid))
+
+    @pytest.mark.parametrize("c2, grid", [(1.0 / 3.0, hermitian_a_grid(1.0 / 3.0, 7)),
+                                          (1.0, [1.0])])
+    def test_single_point_curves(self, c2, grid):
+        # the maximally mixed point and the pure endpoint
+        fig2 = render(write_fig2_csv, c2, fig2_curve(c2, grid))
+        fig3 = render(write_fig3_csv, c2, fig3_curve(c2, grid))
+        assert fig2 == ref_curve_csv("a_plus_b", c2, ref_fig2(c2, grid))
+        assert fig3 == ref_curve_csv("entropy", c2, ref_fig3(c2, grid))
+        assert fig2.count("\n") == fig3.count("\n") == 2
+
+    def test_empty_fig3_curve_is_the_header(self):
+        assert render(write_fig3_csv, 0.76, fig3_curve(0.76, [0.6])) == "c2,a,entropy\n"
+
+    def test_negative_zero_prints_as_zero(self):
+        points = np.array([[-0.0, -0.0], [0.5, -0.0]])
+        assert render(write_fig2_csv, -0.0, points) == "c2,a,a_plus_b\n0,0,0\n0,0.5,0\n"
+        a_values = [-0.0, 0.5]
+        out = render(write_region_csv, [0.5], a_values)
+        assert out == ref_region_csv([0.5], a_values)
+        assert out.splitlines()[1].startswith("0,0.5,")
 
 
 #: Distance from an endpoint of the feasible interval beyond which the
