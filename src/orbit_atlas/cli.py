@@ -28,17 +28,11 @@ import argparse
 import os
 import sys
 
-from . import formats, orbits, qutrit, symplectic
+# numpy-free imports only: parsing, --help, argument errors and tables 2..8
+# start without numpy, and each command imports the modules it computes with
+from . import core
+from .core import DEFAULT_A_STEPS, DEFAULT_CLUSTER_TOL, DEFAULT_TOL, Convention
 from .exceptions import OrbitAtlasError, ParseError
-from .linalg import DEFAULT_TOL, DensityMatrix, _check_int, purity
-from .orbits import DEFAULT_CLUSTER_TOL
-from .pauli import (
-    Convention,
-    convert_convention,
-    from_coherence_vector,
-    is_physical_vector,
-    to_coherence_vector,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -86,16 +80,18 @@ def _snap(value: float, lo: float, hi: float, name: str) -> float:
     if hi < value <= hi + EDGE_SNAP:
         return hi
     if not lo <= value <= hi:
+        from . import formats
         raise ParseError(f"{name}={value} outside [{formats.fmt(lo)}, {formats.fmt(hi)}]")
     return value
 
 
 def cmd_classify(args) -> int:
+    from . import formats, linalg, orbits, pauli
     tol = _tol(args)
     matrix = formats.parse_matrix_obj(formats.load_json(args.input))
-    rho = DensityMatrix(matrix, tol=tol)
+    rho = linalg.DensityMatrix(matrix, tol=tol)
     sig = orbits.orbit_signature(rho, cluster_tol=args.cluster_tol)
-    vec = to_coherence_vector(rho)
+    vec = pauli.to_coherence_vector(rho)
     report = {
         "dim": rho.dim,
         "spectrum": [formats.fmt(v) for v in rho.eigenvalues()],
@@ -106,13 +102,14 @@ def cmd_classify(args) -> int:
         "orbit_dimension": orbits.orbit_dimension(sig),
         "entropy": formats.fmt(orbits.von_neumann_entropy(rho)),
         "coherence_radius": formats.fmt(vec.norm()),
-        "purity": formats.fmt(purity(rho)),
+        "purity": formats.fmt(linalg.purity(rho)),
     }
     _emit(args, lambda fh: formats.dump_json(report, fh))
     return EXIT_OK
 
 
 def cmd_bloch(args) -> int:
+    from . import formats, linalg, pauli
     if args.to_matrix and args.convention is not None:
         raise ParseError("--convention applies to --to-vector only")
     if args.to_matrix and args.tol is not None and not args.check:
@@ -120,16 +117,16 @@ def cmd_bloch(args) -> int:
     tol = _tol(args)
     obj = formats.load_json(args.input)
     if args.to_vector:
-        rho = DensityMatrix(formats.parse_matrix_obj(obj), tol=tol)
-        vec = to_coherence_vector(rho)
+        rho = linalg.DensityMatrix(formats.parse_matrix_obj(obj), tol=tol)
+        vec = pauli.to_coherence_vector(rho)
         if args.convention is not None:
-            vec = convert_convention(vec, args.convention)
+            vec = pauli.convert_convention(vec, args.convention)
         out = formats.vector_to_obj(vec)
     else:
         vec = formats.parse_vector_obj(obj)
-        out = formats.matrix_to_obj(from_coherence_vector(vec))
+        out = formats.matrix_to_obj(pauli.from_coherence_vector(vec))
     if args.check:
-        physical, smallest = is_physical_vector(vec, tol=tol)
+        physical, smallest = pauli.is_physical_vector(vec, tol=tol)
         out["physical"] = physical
         out["min_eigenvalue"] = float(formats.fmt(smallest))
     _emit(args, lambda fh: formats.dump_json(out, fh))
@@ -138,11 +135,12 @@ def cmd_bloch(args) -> int:
 
 def cmd_tables(args) -> int:
     if args.what == "sp":
+        from . import formats, symplectic
         rows = symplectic.table2()
         _emit(args, lambda fh: formats.write_table2_csv(fh, rows))
     else:
-        rows = orbits.enumerate_orbit_table(int(args.what))
-        _emit(args, lambda fh: formats.write_orbit_table_csv(fh, rows))
+        rows = core.enumerate_orbit_table(int(args.what))
+        _emit(args, lambda fh: core.write_orbit_table_csv(fh, rows))
     return EXIT_OK
 
 
@@ -153,6 +151,7 @@ def _at_least(value: int, low: int, flag: str) -> int:
 
 
 def cmd_qutrit(args) -> int:
+    from . import formats, qutrit
     if args.kind == "fraction":
         n = _at_least(args.n, 2, "--n")
         # the purity-1/n sphere is one point, so no snap onto it
@@ -166,7 +165,7 @@ def cmd_qutrit(args) -> int:
         _emit(args, lambda fh: formats.write_fractions_csv(fh, [row]))
         return EXIT_OK
     steps = _at_least(args.a_steps, 1, "--a-steps")
-    _check_int(steps, "--a-steps", 1, qutrit.MAX_A_STEPS)  # above the cap: exit 3
+    core._check_int(steps, "--a-steps", 1, qutrit.MAX_A_STEPS)  # above the cap: exit 3
     if args.kind == "region":
         c2_axis, a_axis = qutrit.default_region_grid_axes(steps)
         _emit(args, lambda fh: formats.write_region_csv(fh, c2_axis, a_axis))
@@ -194,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     tol = _flag("--tol", type=float,
                 help="validation tolerance (default ORBIT_ATLAS_TOL or 1e-9)")
     input_ = _flag("--input", required=True, help="JSON input file")
-    a_steps = _flag("--a-steps", type=int, default=qutrit.DEFAULT_A_STEPS,
+    a_steps = _flag("--a-steps", type=int, default=DEFAULT_A_STEPS,
                     help="number of a-values in the grid")
     c2 = _flag("--c2", type=float, default=0.5, help="purity Tr(rho^2)")
 

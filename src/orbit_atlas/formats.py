@@ -17,8 +17,10 @@ import json
 import numpy as np
 
 from . import qutrit
+# the orbit table's writer is numpy-free, in ``core``, and re-exported here
+from .core import Convention, write_orbit_table_csv
 from .exceptions import ParseError, ValidationError
-from .pauli import Convention, CoherenceVector
+from .pauli import CoherenceVector
 
 
 #: The one printf-style rule for every printed real: 12 significant digits.
@@ -53,7 +55,8 @@ def parse_matrix_obj(obj) -> np.ndarray:
     _require("dim" in obj, 'matrix file missing "dim"')
     _require("re" in obj, 'matrix file missing "re"')
     n = obj["dim"]
-    _require(isinstance(n, int) and n >= 1, f'"dim" must be a positive integer, got {n!r}')
+    # type, not isinstance: JSON true is a bool, and bool is an int
+    _require(type(n) is int and n >= 1, f'"dim" must be a positive integer, got {n!r}')
     try:
         re = np.array(obj["re"], dtype=float)
         im_raw = obj.get("im")
@@ -79,7 +82,7 @@ def parse_vector_obj(obj) -> CoherenceVector:
     for key in ("dim", "convention", "components"):
         _require(key in obj, f'vector file missing "{key}"')
     n = obj["dim"]
-    _require(isinstance(n, int) and n >= 2, f'"dim" must be an integer >= 2, got {n!r}')
+    _require(type(n) is int and n >= 2, f'"dim" must be an integer >= 2, got {n!r}')
     try:
         conv = Convention(obj["convention"])
     except ValidationError:
@@ -122,12 +125,6 @@ def dump_json(obj, fh) -> None:
 # integers through ``str``.  The qutrit dataset writers format whole float
 # columns with ``_format_rows``, never one point at a time.
 
-def write_orbit_table_csv(fh, rows) -> None:
-    """`partition,manifold,dimension` with partitions like ``1+2``."""
-    fh.write("partition,manifold,dimension\n")
-    fh.writelines(f"{'+'.join(map(str, r.partition))},{r.manifold},{r.dimension}\n" for r in rows)
-
-
 def write_region_csv(fh, c2_values, a_values) -> None:
     """`a,c2,class,curve1,curve2,curve3` over the (c2, a) grid, c2-major.
 
@@ -135,8 +132,7 @@ def write_region_csv(fh, c2_values, a_values) -> None:
     at a time, joins them around its `c2,class` cell, one per class.
     """
     a = np.asarray(a_values, dtype=float)
-    rows = qutrit._region_code_rows(c2_values, a)
-    curves = np.stack([f(a) for f in qutrit.REGION_CURVES], axis=-1)
+    curves, rows = qutrit._region_code_rows(c2_values, a)
     # the cells of grid point i in row c2: parts[3i:3i + 3], that is
     # "a,", "c2,class" and ",curve1,curve2,curve3\n"
     parts = [""] * (3 * len(a))

@@ -9,13 +9,12 @@ function over immutable values, so the module is safe for concurrent use.
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .core import DEFAULT_TOL, _check_int, check_tolerance
 from .exceptions import (
     DimensionMismatch,
     DimensionOutOfRange,
@@ -28,10 +27,6 @@ from .exceptions import (
     ValidationError,
 )
 
-#: Default validation tolerance.  Well above double-precision eigensolver
-#: residuals, well below any physically meaningful gap at these sizes.
-DEFAULT_TOL = 1e-9
-
 #: Largest supported matrix dimension.
 MAX_DIM = 64
 
@@ -43,25 +38,6 @@ EIG_RESIDUAL_FACTOR = 1e-10
 #: n^2 eps |M| and eigvalsh's about n eps |M|, both far below it for
 #: n <= 64; a wider band only sends more matrices to eigvalsh.
 SCREEN_MARGIN = 1e-12
-
-
-def check_tolerance(tol: float, name: str = "tolerance") -> float:
-    """``tol`` as a float; ParameterOutOfRange unless it is finite and >= 0
-    (a NaN tolerance would make every ``value > tol`` test pass)."""
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterOutOfRange(f"{name} must be finite and nonnegative, got {tol}")
-    return tol
-
-
-def _check_int(value, name: str, lo: int, hi: float = math.inf,
-               error: type = ParameterOutOfRange) -> int:
-    """``value`` as an int; ``error`` unless it is an integer in [lo, hi]."""
-    if not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if not lo <= value <= hi:
-        raise error(f"{name} {value} outside [{lo}, {hi}]")
-    return int(value)
 
 
 def _check_dim(n) -> int:

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (AmbiguousClustering, DimensionOutOfRange, ParameterOutOfRange,
-                         ValidationError)
-from .linalg import (DEFAULT_TOL, DensityMatrix, _check_int, check_tolerance,
-                     unitarily_equivalent)
-
-#: Default eigenvalue clustering tolerance for degeneracy detection.
-DEFAULT_CLUSTER_TOL = 1e-8
+# the multiplicity arithmetic and the orbit table are numpy-free, in ``core``;
+# OrbitTableRow, _partitions and enumerate_orbit_table are re-exported here
+from .core import (DEFAULT_CLUSTER_TOL, DEFAULT_TOL, OrbitTableRow, _flag_dimension,
+                   _is_projective, _manifold_label, _partitions, check_tolerance,
+                   enumerate_orbit_table)
+from .exceptions import AmbiguousClustering, ParameterOutOfRange, ValidationError
+from .linalg import DensityMatrix, unitarily_equivalent
 
 
 class StateClass(enum.Enum):
@@ -46,18 +44,6 @@ class OrbitSignature:
     @property
     def num_distinct(self) -> int:
         return len(self.distinct_values)
-
-
-def _flag_dimension(mults) -> int:
-    """Real dimension n^2 - sum(m^2), n = sum(m), of the flag manifold
-    U(n)/[U(m_1) x ... x U(m_r)]."""
-    return sum(mults) ** 2 - sum(m * m for m in mults)
-
-
-def _is_projective(mults) -> bool:
-    """Whether the multiplicity pattern is {1, n-1}, n = sum(m): the flag
-    manifold is then CP^(n-1)."""
-    return sorted(mults) == [1, sum(mults) - 1]
 
 
 def _classify(n: int, values: tuple, mults: tuple,
@@ -136,13 +122,6 @@ def orbit_dimension(sig: OrbitSignature) -> int:
     return _flag_dimension(sig.multiplicities)
 
 
-def _manifold_label(n: int, mults) -> str:
-    if len(mults) == 1:
-        return "point"
-    factors = "x".join(f"U({m})" for m in mults)
-    return f"U({n})/[{factors}]"
-
-
 def flag_manifold_name(sig: OrbitSignature) -> str:
     """Canonical flag-manifold label, e.g. ``U(3)/[U(1)xU(2)] = CP^2``.
 
@@ -206,38 +185,3 @@ def entropy_of_spectrum(values):
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy of the spectrum in natural units; lies in [0, log n]."""
     return entropy_of_spectrum(rho.eigenvalues())
-
-
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple:
-    """All integer partitions of n as nondecreasing tuples."""
-    result = []
-
-    def extend(remaining, minimum, acc):
-        if remaining == 0:
-            result.append(tuple(acc))
-            return
-        for part in range(minimum, remaining + 1):
-            extend(remaining - part, part, acc + [part])
-
-    extend(n, 1, [])
-    return tuple(result)
-
-
-class OrbitTableRow(NamedTuple):
-    partition: tuple
-    manifold: str
-    dimension: int
-
-
-def enumerate_orbit_table(n: int) -> list[OrbitTableRow]:
-    """One row per degeneracy pattern of an n-level spectrum, sorted by dimension.
-
-    Labels use U(1) factors where published tables write S^1; the two
-    notations name the same group.
-    """
-    n = _check_int(n, "orbit table dimension", 2, 8, DimensionOutOfRange)
-    rows = [OrbitTableRow(p, _manifold_label(n, p), _flag_dimension(p))
-            for p in _partitions(n)]
-    rows.sort(key=lambda row: (row.dimension, row.partition))
-    return rows

@@ -27,32 +27,18 @@ Bloch factor of two.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
 import numpy as np
 
+from .core import DEFAULT_TOL, Convention, _check_int
 from .exceptions import DimensionOutOfRange, LengthMismatch, ValidationError
-from .linalg import DEFAULT_TOL, MAX_DIM, DensityMatrix, _check_int, positivity_test
+from .linalg import MAX_DIM, DensityMatrix, positivity_test
 
 MIN_BASIS_DIM = 2
 MAX_BASIS_DIM = 16  # dense basis: (n^2 - 1) n^2 entries, 268 MB at n = 64
-
-
-class Convention(enum.Enum):
-    """Scaling convention of a stored vector: Bloch is 2x coherence.
-
-    ``Convention(value)`` takes a member or its value string and raises
-    ValidationError for anything else."""
-
-    COHERENCE = "coherence"
-    BLOCH = "bloch"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise ValidationError(f"unknown convention {value!r}")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,16 @@ diag(a, (1-a)/2, (1-a)/2); points on the dash-dot curve are diag(a, a, 1-2a).
 
 One array kernel, ``_region_kernel``, maps (a, c2) arrays to (b, c, K) and a
 class code.  It is the one place the formula above, the K2_SNAP rule and the
-precedence of the region classes are written: ``qutrit_from_params`` calls it
-on one point, ``_region_code_rows`` on one c2 row of a grid at a time, and
-``fig2_curve`` and ``fig3_curve`` on a whole a-grid at once.  A classified
-grid is read only through ``_region_code_rows`` (class codes, for the CSV
-writer) or ``region_rows`` (RegionClass lists), which hold one row in
-memory, with ``REGION_CURVES`` for the curve values; ``fig3_curve`` takes
-its entropies from ``orbits.entropy_of_spectrum``.  The figure curves are
+precedence of the region classes are written, in two steps: ``_a_terms``
+evaluates what depends on a alone (the three curves and two a-masks), and
+``_region_codes`` the class codes at a purity from those terms.
+``qutrit_from_params`` calls the kernel on one point, and ``fig2_curve`` and
+``fig3_curve`` on a whole a-grid at once.  A classified grid is read only
+through ``_region_code_rows`` (the curves and class codes, for the CSV
+writer) or ``region_rows`` (RegionClass lists): they evaluate the a-terms
+once for the grid and the codes one c2 row at a time, holding one row in
+memory.  ``fig3_curve`` takes its entropies from
+``orbits.entropy_of_spectrum``.  The figure curves are
 (N, 2) arrays of (a, value) rows, so their CSVs are formatted a whole
 column at a time.
 
@@ -46,8 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DEFAULT_A_STEPS, DEFAULT_TOL, _check_int
 from .exceptions import ParameterOutOfRange
-from .linalg import DEFAULT_TOL, _as_rng, _check_int, physical_mask
+from .linalg import _as_rng, physical_mask
 from .orbits import entropy_of_spectrum
 from .pauli import _check_dense_dim, _expand, _expand_buffers
 
@@ -145,27 +149,47 @@ _CLASS_ORDER = (RegionClass.NON_HERMITIAN, RegionClass.NON_POSITIVE,
                 RegionClass.UNIQUE_ORBIT, RegionClass.PHYSICAL_DUPLICATE)
 
 
+def _a_terms(a):
+    """``(curves, at_center, canonical)``: the c2-free terms of the kernel at
+    the a-values ``a``.  ``curves`` holds the values of the ``REGION_CURVES``,
+    one array each, ``at_center`` marks a within 1e-12 of 1/3 and
+    ``canonical`` a >= 1/3 - 1e-12.  A grid computes them once for all its
+    c2 rows."""
+    a = np.asarray(a, dtype=float)
+    curves = tuple(f(a) for f in REGION_CURVES)
+    return curves, np.abs(a - A_MIN_CANONICAL) <= 1e-12, a >= A_MIN_CANONICAL - 1e-12
+
+
+def _region_codes(terms, c2):
+    """``(disc, code)``: K^2 and the class code at the a-values of ``terms``
+    (from ``_a_terms``) and purity ``c2``, broadcast against each other.
+    ``_CLASS_ORDER[code]`` is each point's class; code 0 is exactly K^2 < -K2_SNAP."""
+    (solid, dashed, dashdot), at_center, canonical = terms
+    c2 = np.asarray(c2, dtype=float)
+    disc = 2.0 * c2 - solid  # this is K^2
+    on_solid = np.abs(disc) <= BOUNDARY_TOL
+    on_dashdot = np.abs(dashdot - c2) <= BOUNDARY_TOL
+    # both bands hold only near the maximally mixed center (1/3, 1/3): the
+    # center itself falls through, any other such point is a degenerate pair
+    center = on_dashdot & at_center
+    code = np.select([disc < -K2_SNAP,
+                      dashed < c2 - K2_SNAP,
+                      on_solid & ~center,
+                      on_dashdot & ~on_solid,
+                      (dashdot >= c2 - K2_SNAP) & canonical],
+                     range(5), default=5)
+    return disc, code
+
+
 def _region_kernel(a, c2):
     """``(b, c, K, code)`` arrays for broadcastable ``(a, c2)`` arrays.
 
     Non-Hermitian points (K^2 < -K2_SNAP) carry NaN for b, c and K, and
     ``_CLASS_ORDER[code]`` is each point's class.  The domain is not checked.
     """
-    a, c2 = np.asarray(a, dtype=float), np.asarray(c2, dtype=float)
-    disc = 2.0 * c2 - solid_curve(a)  # this is K^2
-    non_hermitian = disc < -K2_SNAP
-    k = np.sqrt(np.select([non_hermitian, disc <= K2_SNAP], [np.nan, 0.0], disc))
-    on_solid = np.abs(disc) <= BOUNDARY_TOL
-    on_dashdot = np.abs(dashdot_curve(a) - c2) <= BOUNDARY_TOL
-    # both bands hold only near the maximally mixed center (1/3, 1/3): the
-    # center itself falls through, any other such point is a degenerate pair
-    center = on_dashdot & (np.abs(a - A_MIN_CANONICAL) <= 1e-12)
-    code = np.select([non_hermitian,
-                      dashed_curve(a) < c2 - K2_SNAP,
-                      on_solid & ~center,
-                      on_dashdot & ~on_solid,
-                      (dashdot_curve(a) >= c2 - K2_SNAP) & (a >= A_MIN_CANONICAL - 1e-12)],
-                     range(5), default=5)
+    a = np.asarray(a, dtype=float)
+    disc, code = _region_codes(_a_terms(a), c2)
+    k = np.sqrt(np.select([code == 0, disc <= K2_SNAP], [np.nan, 0.0], disc))
     return (1.0 - a + k) / 2.0, (1.0 - a - k) / 2.0, k, code
 
 
@@ -230,9 +254,6 @@ def hermitian_a_grid(c2: float, steps: int) -> np.ndarray:
 #: Purity grid used by the shipped region dataset.
 DEFAULT_C2_GRID = tuple(round(0.35 + 0.05 * k, 2) for k in range(14))
 
-#: Number of a-samples in [1/3, 1] used by the shipped region dataset.
-DEFAULT_A_STEPS = 600
-
 
 def default_region_grid_axes(steps: int = DEFAULT_A_STEPS) -> tuple[np.ndarray, np.ndarray]:
     """``(c2_axis, a_axis)`` of the region dataset: ``DEFAULT_C2_GRID`` and
@@ -242,15 +263,20 @@ def default_region_grid_axes(steps: int = DEFAULT_A_STEPS) -> tuple[np.ndarray, 
 
 
 def _region_code_rows(c2_values, a_values):
-    """``(c2, codes)`` per c2 of a rectangular (c2, a) grid, in order.
+    """``(curves, rows)`` of a rectangular (c2, a) grid.
 
-    ``codes`` is the kernel's class-code array of that c2 row, from one
-    kernel call per row.  Both axes are checked (ParameterOutOfRange) before
-    this returns, so a refused grid raises here, not while it is iterated.
+    ``curves`` is the (N, 3) array of ``REGION_CURVES`` values at the N
+    a-values, and ``rows`` yields ``(c2, codes)`` per c2, in order, ``codes``
+    being the class-code array of that c2 row.  The c2-free terms of the
+    kernel, ``curves`` among them, are computed once for the whole grid.
+    Both axes are checked (ParameterOutOfRange) before this returns, so a
+    refused grid raises here, not while it is iterated.
     """
     a_axis, c2_axis = np.asarray(a_values, dtype=float), np.asarray(c2_values, dtype=float)
     _check_domain(a_axis, c2_axis)
-    return ((c2, _region_kernel(a_axis, c2)[3]) for c2 in c2_axis.tolist())
+    terms = _a_terms(a_axis)
+    rows = ((c2, _region_codes(terms, c2)[1]) for c2 in c2_axis.tolist())
+    return np.stack(terms[0], axis=-1), rows
 
 
 def region_rows(c2_values, a_values):
@@ -259,8 +285,8 @@ def region_rows(c2_values, a_values):
     ``classes`` lists the RegionClass of every a-value at that c2.  The grid
     is checked as by ``_region_code_rows``, before this returns.
     """
-    return ((c2, [_CLASS_ORDER[k] for k in codes.tolist()])
-            for c2, codes in _region_code_rows(c2_values, a_values))
+    _, rows = _region_code_rows(c2_values, a_values)
+    return ((c2, [_CLASS_ORDER[k] for k in codes.tolist()]) for c2, codes in rows)
 
 
 def fig2_curve(c2: float, a_values) -> np.ndarray:

@@ -32,10 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _check_int, _flag_dimension, _is_projective, check_tolerance
 from .exceptions import LengthMismatch, NotNormalized, OddDimension
-from .linalg import (_as_rng, _check_int, as_complex_matrix, check_tolerance,
-                     hermitian_eigensystem)
-from .orbits import _flag_dimension, _is_projective, cluster_spectrum
+from .linalg import _as_rng, as_complex_matrix, hermitian_eigensystem
+from .orbits import cluster_spectrum
 
 _GROUP_TOL = 1e-12
 

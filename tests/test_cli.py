@@ -100,6 +100,16 @@ class TestClassify:
         assert res.returncode == 2
         assert 'missing "re"' in res.stderr
 
+    @pytest.mark.parametrize("dim", [True, False])
+    def test_boolean_dim_exits_2(self, tmp_path, capsys, dim):
+        # JSON true is a bool, which Python also counts as the integer 1
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"dim": dim, "re": [[1.0]]}))
+        assert cli.main(["classify", "--input", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f'"dim" must be a positive integer, got {dim!r}' in err
+
     def test_nan_entry_exits_3(self, tmp_path):
         m = np.diag([0.5, 0.3, 0.2]).astype(complex)
         m[0, 1] = m[1, 0] = math.nan
@@ -275,6 +285,14 @@ class TestBloch:
         res = run_cli("bloch", "--input", str(f), "--to-matrix")
         assert res.returncode == 2
         assert 'missing "components"' in res.stderr
+
+    @pytest.mark.parametrize("dim", [True, False])
+    def test_boolean_dim_exits_2(self, tmp_path, capsys, dim):
+        f = write_vector(tmp_path / "v.json", dim, [])
+        assert cli.main(["bloch", "--input", f, "--to-matrix"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f'"dim" must be an integer >= 2, got {dim!r}' in err
 
     def test_bloch_convention_output(self, tmp_path):
         f = write_matrix(tmp_path / "m.json", np.diag([1.0, 0.0]))
