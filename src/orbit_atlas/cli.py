@@ -80,8 +80,7 @@ def _snap(value: float, lo: float, hi: float, name: str) -> float:
     if hi < value <= hi + EDGE_SNAP:
         return hi
     if not lo <= value <= hi:
-        from . import formats
-        raise ParseError(f"{name}={value} outside [{formats.fmt(lo)}, {formats.fmt(hi)}]")
+        raise ParseError(f"{name}={value} outside [{core.fmt(lo)}, {core.fmt(hi)}]")
     return value
 
 
@@ -151,7 +150,7 @@ def _at_least(value: int, low: int, flag: str) -> int:
 
 
 def cmd_qutrit(args) -> int:
-    from . import formats, qutrit
+    # every argument check comes before the imports, so a refusal starts no numpy
     if args.kind == "fraction":
         n = _at_least(args.n, 2, "--n")
         # the purity-1/n sphere is one point, so no snap onto it
@@ -160,17 +159,21 @@ def cmd_qutrit(args) -> int:
         c2 = min(args.c2, 1.0)
         samples = _at_least(args.samples, 1, "--samples")
         seed = _at_least(args.seed, 0, "--seed")
-        frac = qutrit.sphere_physical_fraction(n, c2, samples, seed, tol=_tol(args))
+        tol = _tol(args)
+        from . import formats, qutrit
+        frac = qutrit.sphere_physical_fraction(n, c2, samples, seed, tol=tol)
         row = (n, c2, samples, frac, seed)
         _emit(args, lambda fh: formats.write_fractions_csv(fh, [row]))
         return EXIT_OK
     steps = _at_least(args.a_steps, 1, "--a-steps")
-    core._check_int(steps, "--a-steps", 1, qutrit.MAX_A_STEPS)  # above the cap: exit 3
+    core._check_int(steps, "--a-steps", 1, core.MAX_A_STEPS)  # above the cap: exit 3
+    if args.kind != "region":
+        c2 = _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")
+    from . import formats, qutrit
     if args.kind == "region":
         c2_axis, a_axis = qutrit.default_region_grid_axes(steps)
         _emit(args, lambda fh: formats.write_region_csv(fh, c2_axis, a_axis))
         return EXIT_OK
-    c2 = _snap(args.c2, 1.0 / 3.0, 1.0, "--c2")
     a_grid = qutrit.hermitian_a_grid(c2, steps)
     if args.kind == "fig2":
         points = qutrit.fig2_curve(c2, a_grid)

@@ -1,14 +1,15 @@
 """The numpy-free core: argument checks, defaults and orbit-table combinatorics.
 
-Everything the command line needs before it knows which command runs, and
-everything ``tables 2..8`` needs, lives here and imports nothing but the
-standard library and ``exceptions``: the tolerance and integer checks, the
-package defaults, the coherence/Bloch ``Convention``, the flag-manifold
-arithmetic of multiplicity patterns, the orbit table and its CSV writer.
-Each name is re-exported by the module that uses it with numpy
-(``linalg.check_tolerance``, ``orbits.enumerate_orbit_table``,
-``pauli.Convention``, ``formats.write_orbit_table_csv``, ...), so either
-import path gives the same object.
+Everything the command line needs before it knows which command runs,
+everything its argument checks and their messages need, and everything
+``tables 2..8`` needs, lives here and imports nothing but the standard
+library and ``exceptions``: the tolerance and integer checks, the package
+defaults and limits, the 12-digit number format, the coherence/Bloch
+``Convention``, the flag-manifold arithmetic of multiplicity patterns, the
+orbit table and its CSV writer.  Each name is re-exported by the module
+that uses it with numpy (``linalg.check_tolerance``,
+``orbits.enumerate_orbit_table``, ``pauli.Convention``, ``formats.fmt``,
+``qutrit.MAX_A_STEPS``, ...), so either import path gives the same object.
 """
 
 from __future__ import annotations
@@ -30,6 +31,18 @@ DEFAULT_CLUSTER_TOL = 1e-8
 
 #: Number of a-samples in [1/3, 1] used by the shipped region dataset.
 DEFAULT_A_STEPS = 600
+
+#: Most a-values one dataset grid may hold, which bounds the time of one
+#: dataset run and the memory of one grid row.
+MAX_A_STEPS = 100_000
+
+#: The one printf-style rule for every printed real: 12 significant digits.
+FLOAT = "%.12g"
+
+
+def fmt(x) -> str:
+    """Format one real number by ``FLOAT``; -0.0 prints as 0."""
+    return FLOAT % (float(x) + 0.0)
 
 
 def check_tolerance(tol: float, name: str = "tolerance") -> float:

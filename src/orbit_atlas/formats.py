@@ -17,19 +17,11 @@ import json
 import numpy as np
 
 from . import qutrit
-# the orbit table's writer is numpy-free, in ``core``, and re-exported here
-from .core import Convention, write_orbit_table_csv
+# the number format and the orbit table's writer are numpy-free, in
+# ``core``, and re-exported here
+from .core import FLOAT, Convention, fmt, write_orbit_table_csv
 from .exceptions import ParseError, ValidationError
 from .pauli import CoherenceVector
-
-
-#: The one printf-style rule for every printed real: 12 significant digits.
-FLOAT = "%.12g"
-
-
-def fmt(x) -> str:
-    """Format one real number by ``FLOAT``; -0.0 prints as 0."""
-    return FLOAT % (float(x) + 0.0)
 
 
 def _format_rows(template: str, rows) -> str:

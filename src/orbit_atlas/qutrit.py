@@ -35,21 +35,23 @@ The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
 ``sphere_physical_fraction`` streams the samples in chunks sized by bytes
 (``MC_CHUNK_BYTES``) through two stages: the calling thread draws and
-assembles one chunk while one helper thread screens the one before; memory
-is bounded by two chunks, and the result, a sum of integer chunk counts,
-does not depend on the thread timing.
+assembles one chunk while one helper thread, started once per call and
+joined before it returns, screens the one before; memory is bounded by two
+chunks, and the result, a sum of integer chunk counts, does not depend on
+the thread timing.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import queue
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_A_STEPS, DEFAULT_TOL, _check_int
+from .core import DEFAULT_A_STEPS, DEFAULT_TOL, MAX_A_STEPS, _check_int
 from .exceptions import ParameterOutOfRange
 from .linalg import _as_rng, physical_mask
 from .orbits import entropy_of_spectrum
@@ -65,17 +67,17 @@ BOUNDARY_TOL = 1e-10
 
 A_MIN_CANONICAL = 1.0 / 3.0
 
-#: Bytes of complex matrices in one Monte Carlo chunk (2 MiB: 512 samples
-#: at n = 16, 2048 at n = 8), so a chunk's stack stays near the cache size.
-MC_CHUNK_BYTES = 2 ** 21
+#: Bytes of complex matrices in one Monte Carlo chunk (512 KiB: 128 samples
+#: at n = 16, 512 at n = 8, 3640 at n = 3).  A chunk touches several times
+#: its stack's bytes (the draws, the reconstruction source and the screen's
+#: copies of the stack), so this keeps a chunk's working set near a 2 MiB
+#: per-core L2 cache, as on the 2-core Xeon the sampler was sized on.
+MC_CHUNK_BYTES = 2 ** 19
 
-#: Most samples in one Monte Carlo chunk (reached at n <= 5), so that a call
-#: at small n still spans enough chunks for its two stages to overlap.
+#: Most samples in one Monte Carlo chunk, so that a call at small n still
+#: spans enough chunks for its two stages to overlap.  Since the chunk
+#: holds 512 KiB it binds only at n = 2.
 MC_CHUNK_MAX = 4096
-
-#: Most a-values one dataset grid may hold, which bounds the time of one
-#: dataset run and the memory of one grid row.
-MAX_A_STEPS = 100_000
 
 
 class RegionClass(enum.Enum):
@@ -321,26 +323,26 @@ def fig3_curve(c2: float, a_values) -> np.ndarray:
     return np.column_stack((a[keep], entropy))
 
 
-class _Screen(threading.Thread):
-    """Counts the physical matrices of one Monte Carlo chunk with
-    ``physical_mask``, off the calling thread."""
-
-    def __init__(self, mats: np.ndarray, tol: float):
-        super().__init__()
-        self.mats, self.tol, self.error = mats, tol, None
-
-    def run(self) -> None:
+def _screen_chunks(jobs, results, tol: float) -> None:
+    """Helper thread of one ``sphere_physical_fraction`` call: puts, for each
+    chunk stack taken from ``jobs`` until the stop signal ``None``, its count
+    of physical matrices by ``physical_mask`` into ``results``, or what the
+    screen raised, for the calling thread to re-raise."""
+    # ``is None``: a test such as ``iter(jobs.get, None)`` would compare the
+    # stack to None elementwise
+    while (mats := jobs.get()) is not None:
         try:
-            self.hits = int(np.count_nonzero(physical_mask(self.mats, self.tol)))
-        except BaseException as exc:  # re-raised by ``result`` in the calling thread
-            self.error = exc
+            results.put(int(np.count_nonzero(physical_mask(mats, tol))))
+        except BaseException as exc:  # re-raised by ``_screened`` in the calling thread
+            results.put(exc)
 
-    def result(self) -> int:
-        """The count, once the thread has ended; what the screen raised, if it did."""
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.hits
+
+def _screened(results) -> int:
+    """The next count from ``_screen_chunks``; what the screen raised, if it did."""
+    hits = results.get()
+    if isinstance(hits, BaseException):
+        raise hits
+    return hits
 
 
 def _mc_chunk(n: int) -> int:
@@ -361,16 +363,18 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     bytes, in a two-stage pipeline.  The calling thread draws chunk k + 1
     from the one generator, in order, scales it and writes its dense
     (chunk, n, n) stack (so n <= 16) by the one reconstruction scatter of
-    ``pauli``, with I/n on its diagonal.  Meanwhile one helper thread (a
-    new one per chunk, never two at once) counts chunk k's physical
-    matrices with ``physical_mask``: a Cholesky screen at two shifts
+    ``pauli``, with I/n on its diagonal.  Meanwhile one helper thread,
+    started once for the call, counts chunk k's physical matrices with
+    ``physical_mask`` (chunks and counts pass through two
+    ``queue.SimpleQueue``s): a Cholesky screen at two shifts
     settles every matrix outside a roundoff band around -tol * n, and
     ``positivity_test`` decides the band, so each verdict is the eigenvalue
     rule's.  Both stages write into buffers allocated once per call, two
     chunk stacks taking turns, so memory is bounded by two chunks whatever
     ``samples`` is.  The result is the integer sum of the chunk counts,
     that of one monolithic draw whatever the thread timing.  An error in
-    the helper thread is raised here, and no thread outlives the call.
+    the helper thread is raised here, and the helper is stopped and joined
+    before the call returns or raises, so no thread outlives it.
     """
     n = _check_dense_dim(n)
     samples = _check_int(samples, "samples", 1)
@@ -382,7 +386,10 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     draws, squares = np.empty((2, size, n * n - 1))
     source, stack = _expand_buffers((size,), n)
     stacks = (stack, np.empty_like(stack))
-    hits, screen = 0, None
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+    helper = threading.Thread(target=_screen_chunks, args=(jobs, results, tol))
+    helper.start()
+    hits = 0
     try:
         for k, start in enumerate(range(0, samples, size)):
             count = min(size, samples - start)
@@ -391,14 +398,13 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
             norms = np.sqrt(np.square(g, out=squares[:count]).sum(axis=1))
             norms[norms == 0.0] = 1.0  # measure-zero guard
             np.multiply(g, (radius / norms)[:, None], out=g)
-            # chunk k - 2 last read stacks[k % 2]; its screen ended one iteration ago
+            # chunk k - 2 last read stacks[k % 2]; its count came one iteration ago
             mats = _expand(g, n, 1.0 / n, out=(source[:count], stacks[k % 2][:count]))
-            if screen is not None:
-                hits += screen.result()
-            screen = _Screen(mats, tol)
-            screen.start()
-        hits += screen.result()
+            if k:
+                hits += _screened(results)
+            jobs.put(mats)
+        hits += _screened(results)
     finally:
-        if screen is not None:
-            screen.join()
+        jobs.put(None)
+        helper.join()
     return hits / samples

@@ -23,10 +23,15 @@ runpy.run_module("orbit_atlas", run_name="__main__", alter_sys=True)
 
 
 #: Commands that run without numpy, with their exit codes: every orbit
-#: table, the help text and an argument error.
+#: table, the help text, an argparse error and refused qutrit arguments.
 NUMPY_FREE = [(["tables", str(n)], 0) for n in range(2, 9)] + [
     (["--help"], 0),
     (["tables", "9"], 2),
+    (["qutrit", "fraction", "--n", "1"], 2),
+    (["qutrit", "fraction", "--c2", "0.2"], 2),
+    (["qutrit", "region", "--a-steps", "0"], 2),
+    (["qutrit", "fig2", "--c2", "2"], 2),
+    (["qutrit", "region", "--a-steps", "100001"], 3),
 ]
 
 

@@ -676,7 +676,7 @@ class TestStreamedMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
-        assert peaks[1] < 100 * 2 ** 20
+        assert peaks[1] < 4 * 2 ** 20
 
     def test_concurrent_callers_under_fast_thread_switching(self):
         """Four callers on two cores, switching threads every microsecond:
@@ -697,6 +697,19 @@ class TestStreamedMonteCarlo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert got == [want] * 4
+
+    def test_one_helper_thread_screens_every_chunk(self, monkeypatch):
+        threads = []
+
+        def recording_mask(stack, tol):
+            threads.append(threading.current_thread())
+            return physical_mask(stack, tol)
+
+        monkeypatch.setattr(qutrit, "physical_mask", recording_mask)
+        sphere_physical_fraction(16, 0.085, 4 * _mc_chunk(16), seed=1)
+        assert len(threads) == 4
+        assert len(set(threads)) == 1
+        assert threads[0] is not threading.current_thread()
 
     def test_screen_error_is_raised_and_no_thread_is_left(self, monkeypatch):
         screened = []
