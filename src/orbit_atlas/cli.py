@@ -153,13 +153,14 @@ def cmd_qutrit(args) -> int:
     # every argument check comes before the imports, so a refusal starts no numpy
     if args.kind == "fraction":
         n = _at_least(args.n, 2, "--n")
+        core._check_dense_dim(n)  # above the dense cap: exit 3
         # the purity-1/n sphere is one point, so no snap onto it
         if not 1.0 / n < args.c2 <= 1.0 + EDGE_SNAP:
             raise ParseError(f"--c2={args.c2} outside (1/{n}, 1]")
         c2 = min(args.c2, 1.0)
         samples = _at_least(args.samples, 1, "--samples")
         seed = _at_least(args.seed, 0, "--seed")
-        tol = _tol(args)
+        tol = core.check_tolerance(_tol(args))
         from . import formats, qutrit
         frac = qutrit.sphere_physical_fraction(n, c2, samples, seed, tol=tol)
         row = (n, c2, samples, frac, seed)

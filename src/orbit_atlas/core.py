@@ -3,13 +3,14 @@
 Everything the command line needs before it knows which command runs,
 everything its argument checks and their messages need, and everything
 ``tables 2..8`` needs, lives here and imports nothing but the standard
-library and ``exceptions``: the tolerance and integer checks, the package
-defaults and limits, the 12-digit number format, the coherence/Bloch
-``Convention``, the flag-manifold arithmetic of multiplicity patterns, the
-orbit table and its CSV writer.  Each name is re-exported by the module
-that uses it with numpy (``linalg.check_tolerance``,
+library and ``exceptions``: the tolerance, integer and dense-dimension
+checks, the package defaults and limits, the 12-digit number format, the
+coherence/Bloch ``Convention``, the flag-manifold arithmetic of multiplicity
+patterns, the orbit table and its CSV writer.  Each name is re-exported by
+the module that uses it with numpy (``linalg.check_tolerance``,
 ``orbits.enumerate_orbit_table``, ``pauli.Convention``, ``formats.fmt``,
-``qutrit.MAX_A_STEPS``, ...), so either import path gives the same object.
+``pauli.MAX_BASIS_DIM``, ``qutrit.MAX_A_STEPS``, ...), so either import
+path gives the same object.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ DEFAULT_A_STEPS = 600
 #: Most a-values one dataset grid may hold, which bounds the time of one
 #: dataset run and the memory of one grid row.
 MAX_A_STEPS = 100_000
+
+MIN_BASIS_DIM = 2
+
+#: Largest dimension of the dense Pauli paths (the basis, the Monte Carlo
+#: sampler): the dense basis holds (n^2 - 1) n^2 entries, 268 MB at n = 64.
+MAX_BASIS_DIM = 16
 
 #: The one printf-style rule for every printed real: 12 significant digits.
 FLOAT = "%.12g"
@@ -62,6 +69,12 @@ def _check_int(value, name: str, lo: int, hi: float = math.inf,
     if not lo <= value <= hi:
         raise error(f"{name} {value} outside [{lo}, {hi}]")
     return int(value)
+
+
+def _check_dense_dim(n: int) -> int:
+    """``n`` as an int; DimensionOutOfRange unless it is an integer in
+    [MIN_BASIS_DIM, MAX_BASIS_DIM], the range of the dense paths."""
+    return _check_int(n, "basis dimension", MIN_BASIS_DIM, MAX_BASIS_DIM, DimensionOutOfRange)
 
 
 class Convention(enum.Enum):

@@ -33,12 +33,12 @@ from math import sqrt
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Convention, _check_int
+# the dense-dimension check is numpy-free, in ``core``, for the command
+# line's argument checks; MAX_BASIS_DIM is re-exported here
+from .core import (DEFAULT_TOL, MAX_BASIS_DIM, MIN_BASIS_DIM, Convention, _check_dense_dim,
+                   _check_int)
 from .exceptions import DimensionOutOfRange, LengthMismatch, ValidationError
 from .linalg import MAX_DIM, DensityMatrix, positivity_test
-
-MIN_BASIS_DIM = 2
-MAX_BASIS_DIM = 16  # dense basis: (n^2 - 1) n^2 entries, 268 MB at n = 64
 
 
 @dataclass(frozen=True)
@@ -107,42 +107,27 @@ def _index_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return rows, cols, diag, pick
 
 
-def _expand_buffers(lead: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empty ``(source, result)`` arrays of ``_expand`` for components of
-    shape lead + (n^2 - 1,)."""
-    m = n * (n - 1) // 2
-    return (np.empty(lead + (3 * m + n + 1,)),
-            np.empty(lead + (n, n), dtype=np.complex128))
-
-
-def _expand(comps, n: int, identity: float, out=None) -> np.ndarray:
+def _expand(comps, n: int, identity: float) -> np.ndarray:
     """``identity * I + sum_k s_k sigma_k`` as (..., n, n) complex matrices
     for components of shape (..., n^2 - 1), written by one ``take`` of the
     ``pick`` columns of ``source``.  ``identity`` joins the diagonal column
     and every zero is made +0.0, so the result is bit for bit that of adding
-    ``identity * I`` to the scatter of the components alone.  ``out``, C-
-    contiguous arrays shaped as ``_expand_buffers`` makes them, is written
-    instead of allocating ``source`` and the result."""
+    ``identity * I`` to the scatter of the components alone."""
     rows, _, diag, pick = _index_maps(n)
     m = rows.shape[0]
     comps = np.asarray(comps, dtype=float)
     lead = comps.shape[:-1]
-    source, result = out or _expand_buffers(lead, n)
+    source = np.empty(lead + (3 * m + n + 1,))
+    result = np.empty(lead + (n, n), dtype=np.complex128)
     np.multiply(comps[..., :2 * m], 1.0 / sqrt(2.0), out=source[..., :2 * m])
     np.negative(source[..., m:2 * m], out=source[..., 2 * m:3 * m])
     source[..., 3 * m:-1] = comps[..., 2 * m:] @ diag + identity
     source[..., -1] = 0.0
     source += 0.0  # -0.0 becomes +0.0, as adding the zeros of identity * I makes it
-    # mode="clip" writes straight into ``out``; "raise" would buffer a copy
+    # mode="clip" writes straight into ``result``; "raise" would buffer a copy
     source.take(pick, axis=-1, out=result.view(np.float64).reshape(lead + (2 * n * n,)),
                 mode="clip")
     return result
-
-
-def _check_dense_dim(n: int) -> int:
-    """``n`` as an int; DimensionOutOfRange unless it is an integer in
-    [2, MAX_BASIS_DIM], the range of the dense paths."""
-    return _check_int(n, "basis dimension", MIN_BASIS_DIM, MAX_BASIS_DIM, DimensionOutOfRange)
 
 
 def generate_basis(n: int) -> PauliBasis:

@@ -35,10 +35,11 @@ The module also estimates, by seeded Monte Carlo, how much of a sphere of
 fixed purity in coherence-vector space is occupied by physical states.
 ``sphere_physical_fraction`` streams the samples in chunks sized by bytes
 (``MC_CHUNK_BYTES``) through two stages: the calling thread draws and
-assembles one chunk while one helper thread, started once per call and
-joined before it returns, screens the one before; memory is bounded by two
-chunks, and the result, a sum of integer chunk counts, does not depend on
-the thread timing.
+assembles one chunk, in arrays of its own, while one helper thread, started
+once per call and joined before it returns, screens the one before; the next
+chunk is handed over only once that count is back, so memory is bounded by
+about two chunks, and the result, a sum of integer chunk counts, does not
+depend on the thread timing.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_A_STEPS, DEFAULT_TOL, MAX_A_STEPS, _check_int
+from .core import (DEFAULT_A_STEPS, DEFAULT_TOL, MAX_A_STEPS, _check_dense_dim, _check_int,
+                   check_tolerance)
 from .exceptions import ParameterOutOfRange
 from .linalg import _as_rng, physical_mask
 from .orbits import entropy_of_spectrum
-from .pauli import _check_dense_dim, _expand, _expand_buffers
+from .pauli import _expand
 
 #: |K^2| <= K2_SNAP is snapped to zero: the solid boundary is exactly K = 0,
 #: and rounding must neither push it into the non-Hermitian class nor split
@@ -73,11 +75,6 @@ A_MIN_CANONICAL = 1.0 / 3.0
 #: copies of the stack), so this keeps a chunk's working set near a 2 MiB
 #: per-core L2 cache, as on the 2-core Xeon the sampler was sized on.
 MC_CHUNK_BYTES = 2 ** 19
-
-#: Most samples in one Monte Carlo chunk, so that a call at small n still
-#: spans enough chunks for its two stages to overlap.  Since the chunk
-#: holds 512 KiB it binds only at n = 2.
-MC_CHUNK_MAX = 4096
 
 
 class RegionClass(enum.Enum):
@@ -347,8 +344,8 @@ def _screened(results) -> int:
 
 def _mc_chunk(n: int) -> int:
     """Samples per Monte Carlo chunk at dimension n: MC_CHUNK_BYTES of
-    complex (n, n) matrices, at most MC_CHUNK_MAX."""
-    return min(MC_CHUNK_BYTES // (16 * n * n), MC_CHUNK_MAX)
+    complex (n, n) matrices."""
+    return MC_CHUNK_BYTES // (16 * n * n)
 
 
 def sphere_physical_fraction(n: int, c2: float, samples: int,
@@ -369,38 +366,37 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     ``queue.SimpleQueue``s): a Cholesky screen at two shifts
     settles every matrix outside a roundoff band around -tol * n, and
     ``positivity_test`` decides the band, so each verdict is the eigenvalue
-    rule's.  Both stages write into buffers allocated once per call, two
-    chunk stacks taking turns, so memory is bounded by two chunks whatever
-    ``samples`` is.  The result is the integer sum of the chunk counts,
-    that of one monolithic draw whatever the thread timing.  An error in
-    the helper thread is raised here, and the helper is stopped and joined
-    before the call returns or raises, so no thread outlives it.
+    rule's.  Each chunk's draws and stack are allocated for that chunk,
+    and a chunk is handed to the helper only after the count of the one
+    before has come back, so memory is bounded by about two chunks whatever
+    ``samples`` is and no stack is written once it is screened.  The result
+    is the integer sum of the chunk counts, that of one monolithic draw
+    whatever the thread timing.  An error in the helper thread is raised
+    here, and the helper is stopped and joined before the call returns or
+    raises, so no thread outlives it.
     """
     n = _check_dense_dim(n)
     samples = _check_int(samples, "samples", 1)
     if not 1.0 / n < c2 <= 1.0 + 1e-12:
         raise ParameterOutOfRange(f"c2={c2} outside (1/{n}, 1]")
+    tol = check_tolerance(tol)
     radius = math.sqrt(c2 - 1.0 / n)
     rng = _as_rng(seed)
-    size = min(_mc_chunk(n), samples)
-    draws, squares = np.empty((2, size, n * n - 1))
-    source, stack = _expand_buffers((size,), n)
-    stacks = (stack, np.empty_like(stack))
+    size = _mc_chunk(n)
     jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
     helper = threading.Thread(target=_screen_chunks, args=(jobs, results, tol))
     helper.start()
     hits = 0
     try:
-        for k, start in enumerate(range(0, samples, size)):
-            count = min(size, samples - start)
-            g = rng.standard_normal(out=draws[:count])
-            # np.linalg.norm(g, axis=1) bit for bit, without its temporaries
-            norms = np.sqrt(np.square(g, out=squares[:count]).sum(axis=1))
+        for start in range(0, samples, size):
+            g = rng.standard_normal((min(size, samples - start), n * n - 1))
+            norms = np.linalg.norm(g, axis=1)
             norms[norms == 0.0] = 1.0  # measure-zero guard
-            np.multiply(g, (radius / norms)[:, None], out=g)
-            # chunk k - 2 last read stacks[k % 2]; its count came one iteration ago
-            mats = _expand(g, n, 1.0 / n, out=(source[:count], stacks[k % 2][:count]))
-            if k:
+            g *= (radius / norms)[:, None]
+            mats = _expand(g, n, 1.0 / n)
+            # wait for the previous chunk's count only now, so that this
+            # chunk's assembly overlaps its screen
+            if start:
                 hits += _screened(results)
             jobs.put(mats)
         hits += _screened(results)

@@ -397,6 +397,11 @@ class TestQutrit:
         assert res.returncode == 3
         assert res.stdout == ""
 
+    def test_fraction_negative_env_tolerance_exits_3(self):
+        res = run_cli("qutrit", "fraction", env_extra={"ORBIT_ATLAS_TOL": "-1"})
+        assert res.returncode == 3
+        assert "tolerance must be finite and nonnegative, got -1.0" in res.stderr
+
     def test_fraction_dense_dimension_cap_exits_3(self):
         res = run_cli("qutrit", "fraction", "--n", "17", "--c2", "0.5")
         assert res.returncode == 3

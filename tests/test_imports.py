@@ -32,6 +32,8 @@ NUMPY_FREE = [(["tables", str(n)], 0) for n in range(2, 9)] + [
     (["qutrit", "region", "--a-steps", "0"], 2),
     (["qutrit", "fig2", "--c2", "2"], 2),
     (["qutrit", "region", "--a-steps", "100001"], 3),
+    (["qutrit", "fraction", "--n", "17"], 3),
+    (["qutrit", "fraction", "--tol", "-1"], 3),
 ]
 
 

@@ -632,6 +632,19 @@ class TestSpherePhysicalFraction:
         with pytest.raises(ParameterOutOfRange):
             sphere_physical_fraction(3, 0.5, 0, seed=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_bad_tolerance_is_refused_before_the_screen_starts(self, monkeypatch, tol):
+        started, screen = [], qutrit._screen_chunks
+
+        def recording_screen(*args):
+            started.append(args)
+            screen(*args)
+
+        monkeypatch.setattr(qutrit, "_screen_chunks", recording_screen)
+        with pytest.raises(ParameterOutOfRange, match="tolerance"):
+            sphere_physical_fraction(3, 0.5, 10, seed=0, tol=tol)
+        assert started == []
+
 
 def monolithic_fraction(n, c2, samples, seed):
     """The sampler in one piece: one draw of every direction, one stack of
@@ -710,6 +723,19 @@ class TestStreamedMonteCarlo:
         assert len(threads) == 4
         assert len(set(threads)) == 1
         assert threads[0] is not threading.current_thread()
+
+    def test_a_screened_stack_is_never_written_again(self, monkeypatch):
+        screened = []
+
+        def keeping_mask(stack, tol):
+            screened.append((stack, stack.copy()))
+            return physical_mask(stack, tol)
+
+        monkeypatch.setattr(qutrit, "physical_mask", keeping_mask)
+        sphere_physical_fraction(8, 0.18, 4 * _mc_chunk(8), seed=1)
+        assert len(screened) == 4
+        for stack, copy in screened:
+            assert stack.tobytes() == copy.tobytes()
 
     def test_screen_error_is_raised_and_no_thread_is_left(self, monkeypatch):
         screened = []
