@@ -25,8 +25,8 @@ _EXPORTS = {
         OrbitAtlasError ParameterOutOfRange ParseError ValidationError""",
     "core": """DEFAULT_CLUSTER_TOL DEFAULT_TOL Convention OrbitTableRow
         enumerate_orbit_table""",
-    "linalg": """DensityMatrix EigenSystem convex_path hermitian_eigensystem purity
-        random_density_matrix random_unitary trace_invariants unitarily_equivalent""",
+    "linalg": """DensityMatrix convex_path purity random_density_matrix
+        random_unitary trace_invariants unitarily_equivalent""",
     "orbits": """MajorizationResult OrbitSignature StateClass entropy_of_spectrum
         flag_manifold_name majorize_compare orbit_dimension orbit_signature
         von_neumann_entropy""",

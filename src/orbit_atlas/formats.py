@@ -16,7 +16,6 @@ import json
 
 import numpy as np
 
-from . import qutrit
 # the number format and the orbit table's writer are numpy-free, in
 # ``core``, and re-exported here
 from .core import FLOAT, Convention, fmt, write_orbit_table_csv
@@ -103,7 +102,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # JSON text is UTF-8, and the decoder recurses once per nesting level
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -123,6 +123,7 @@ def write_region_csv(fh, c2_values, a_values) -> None:
     The a cells and curve triples are formatted once, and each c2 row, one
     at a time, joins them around its `c2,class` cell, one per class.
     """
+    from . import qutrit  # only the region writer computes with it
     a = np.asarray(a_values, dtype=float)
     curves, rows = qutrit._region_code_rows(c2_values, a)
     # the cells of grid point i in row c2: parts[3i:3i + 3], that is

@@ -1,15 +1,14 @@
 """Dense complex-matrix foundation.
 
-Every eigensolve of the package, the positivity rule and its batched
-Cholesky screen, trace invariants, density-matrix validation and convex
-combination.  Matrices are plain
+The package's one eigensolver (``positivity_test``'s ``eigvalsh``), the
+positivity rule and its batched Cholesky screen, trace invariants,
+density-matrix validation and convex combination.  Every spectrum the
+package reports comes from that one call.  Matrices are plain
 ``numpy.ndarray`` objects of dtype complex128; everything here is a pure
 function over immutable values, so the module is safe for concurrent use.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -29,9 +28,6 @@ from .exceptions import (
 
 #: Largest supported matrix dimension.
 MAX_DIM = 64
-
-#: Residual budget of the eigensolver, relative to ``max|H| * n``.
-EIG_RESIDUAL_FACTOR = 1e-10
 
 #: Half-width of the roundoff band of ``physical_mask``, relative to n times
 #: the scale of the matrices.  Cholesky's backward error is about
@@ -65,57 +61,6 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     return float(np.abs(matrix - matrix.conj().T).max())
 
 
-class EigenSystem(NamedTuple):
-    """Spectrum of a Hermitian matrix.
-
-    ``values`` are sorted nonincreasing, ``vectors`` holds the matching
-    eigenvectors as columns, and ``residual`` is ``max |H v_k - w_k v_k|``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residual: float
-
-
-def _hermitian(matrix, tol: float) -> tuple[np.ndarray, float]:
-    """``(m, tol)``: ``matrix`` as a complex array and the checked ``tol``;
-    NotHermitian when the hermiticity defect of ``m`` exceeds ``tol``."""
-    tol = check_tolerance(tol)
-    m = as_complex_matrix(matrix)
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(
-            f"hermiticity violated: max |M - M^dag| = {defect:.3e} > {tol:.3e}")
-    return m, tol
-
-
-def hermitian_eigensystem(matrix, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitian when the symmetry defect exceeds ``tol`` and
-    NoConvergence when the solver cannot meet its residual budget.
-    """
-    h, tol = _hermitian(matrix, tol)
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
-        raise NoConvergence(str(exc)) from exc
-    # eigh returns ascending order; the convention here is nonincreasing.
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    residual = float(np.abs(h @ vectors - vectors * values[None, :]).max())
-    n = h.shape[0]
-    hmax = float(np.abs(h).max())
-    budget = EIG_RESIDUAL_FACTOR * hmax * n
-    if residual > budget and hmax > 0:  # pragma: no cover - defensive
-        raise NoConvergence(
-            f"eigensolver residual {residual:.3e} exceeds budget {budget:.3e}")
-    ortho = float(np.abs(vectors.conj().T @ vectors - np.eye(n)).max())
-    if ortho > 1e-10:  # pragma: no cover - defensive
-        raise NoConvergence(f"eigenvectors not orthonormal: defect {ortho:.3e}")
-    return EigenSystem(values=values, vectors=vectors, residual=residual)
-
-
 def positivity_test(matrices, tol: float = DEFAULT_TOL):
     """``(physical, spectra)`` of one Hermitian n x n matrix or a stack: the
     ascending eigenvalues, and whether the smallest is >= -tol * n.
@@ -125,7 +70,10 @@ def positivity_test(matrices, tol: float = DEFAULT_TOL):
     a roundoff band around -tol * n and sends only the band here.
     """
     tol = check_tolerance(tol)
-    spectra = np.linalg.eigvalsh(matrices)
+    try:
+        spectra = np.linalg.eigvalsh(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     return spectra[..., 0] >= -tol * spectra.shape[-1], spectra
 
 
@@ -168,26 +116,36 @@ class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     Construction checks all three invariants against ``tol`` and raises the
-    matching exception naming the violated invariant.  The spectrum is solved
-    once and kept; both arrays are read-only, so instances are immutable.
+    matching exception naming the violated invariant.  The state is the
+    Hermitian part (M + M^dag) / 2 of the admitted input M, which is M bit
+    for bit when M is exactly Hermitian.  Its spectrum is solved once and
+    kept; both arrays are read-only, so instances are immutable.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        m, tol = _hermitian(matrix, tol)
+        tol = check_tolerance(tol)
+        m = as_complex_matrix(matrix)
+        defect = hermiticity_defect(m)
+        if defect > tol:
+            raise NotHermitian(
+                f"hermiticity violated: max |M - M^dag| = {defect:.3e} > {tol:.3e}")
         trace_dev = abs(m.trace() - 1.0)
         if trace_dev > tol:
             raise NotUnitTrace(
                 f"unit trace violated: |Tr(M) - 1| = {trace_dev:.3e} > {tol:.3e}")
-        physical, ascending = positivity_test(m, tol)
+        # eigvalsh reads one triangle only: by it, an admitted skew part could
+        # move the spectrum by (n - 1) * tol / 2, beyond the cluster tolerance
+        h = (m + m.conj().T) / 2.0
+        physical, ascending = positivity_test(h, tol)
         if not physical:
             raise NotPositiveSemidefinite(
                 f"positivity violated: smallest eigenvalue {ascending[0]:.3e} < "
-                f"{-tol * m.shape[0]:.3e}")
-        m.setflags(write=False)
+                f"{-tol * h.shape[0]:.3e}")
+        h.setflags(write=False)
         ascending.setflags(write=False)
-        self._matrix = m
+        self._matrix = h
         self._spectrum = ascending[::-1]
         self._tol = tol
 

@@ -144,10 +144,10 @@ def generate_basis(n: int) -> PauliBasis:
 def to_coherence_vector(rho: DensityMatrix) -> CoherenceVector:
     """Coherence components s_k = Tr(rho sigma_k).
 
-    Gathered from the lower triangle and the real diagonal, the entries the
-    eigensolver reads, so |s|^2 = Tr(rho^2) - 1/n holds for the spectrum
-    the state reports.  The implied identity coefficient 1/sqrt(n) is fixed
-    by the unit trace and is not stored.
+    Gathered from the lower triangle and the real diagonal of the state's
+    matrix, which is exactly Hermitian, so |s|^2 = Tr(rho^2) - 1/n holds for
+    the spectrum the state reports.  The implied identity coefficient
+    1/sqrt(n) is fixed by the unit trace and is not stored.
     """
     rows, cols, diag, _ = _index_maps(rho.dim)
     lower = sqrt(2.0) * rho.matrix[cols, rows]

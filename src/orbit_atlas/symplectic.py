@@ -3,10 +3,11 @@
 Sp(n) is realized as the unitary 2n x 2n matrices S with S^T J S = J for
 the standard skew form J = [[0, I], [-I, 0]]; equivalently the unitaries of
 block shape [[A, B], [-conj(B), conj(A)]].  The module provides membership
-and block-form tests, seeded random group elements (exponentials of random
-Lie-algebra elements), dimension bounds for conjugation orbits of ordered
-diagonal spectra, the published bound comparison table, and the quaternion
-model of Sp(n) with its inner-product decomposition and skew form.
+and block-form tests, seeded random group elements (Cayley transforms of
+random Lie-algebra elements), dimension bounds for conjugation orbits of
+ordered diagonal spectra, the published bound comparison table, and the
+quaternion model of Sp(n) with its inner-product decomposition and skew
+form.
 
 Orbit-bound rules, applied to the diagonal AS ORDERED (the symplectic
 action distinguishes arrangements that are unitarily equivalent):
@@ -34,7 +35,7 @@ import numpy as np
 
 from .core import _check_int, _flag_dimension, _is_projective, check_tolerance
 from .exceptions import LengthMismatch, NotNormalized, OddDimension
-from .linalg import _as_rng, as_complex_matrix, hermitian_eigensystem
+from .linalg import _as_rng, _check_dim, as_complex_matrix
 from .orbits import cluster_spectrum
 
 _GROUP_TOL = 1e-12
@@ -83,18 +84,23 @@ def random_symplectic(n: int, seed=None) -> np.ndarray:
     A complex Gaussian matrix is projected onto the Lie algebra
     {X anti-Hermitian, X^T J + J X = 0}, i.e. block form
     [[A, B], [-conj(B), conj(A)]] with A anti-Hermitian and B symmetric,
-    and exponentiated as V diag(exp(iw)) V^dag from eigh of -iX (n <= 32).
+    and mapped into the group by the Cayley transform
+    S = (I - X/2)^-1 (I + X/2), one linear solve (n <= 32).  I - X/2 has
+    eigenvalues 1 - iw/2 and is never singular; S is unitary because the
+    two factors commute and (I + X/2)^dag = I - X/2, and
+    (I - X/2)^T J = J (I + X/2) gives S^T J S = J.
     """
     n = _check_int(n, "half-dimension", 1, error=OddDimension)
+    _check_dim(2 * n)
     rng = _as_rng(seed)
     g = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
     a = (g[:n, :n] + g[n:, n:].conj()) / 2.0
     b = (g[:n, n:] - g[n:, :n].conj()) / 2.0
     a = (a - a.conj().T) / 2.0
     b = (b + b.T) / 2.0
-    x = np.block([[a, b], [-b.conj(), a.conj()]])
-    w, v, _ = hermitian_eigensystem(-1j * x)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    half = np.block([[a, b], [-b.conj(), a.conj()]]) / 2.0
+    eye = np.eye(2 * n)
+    return np.linalg.solve(eye - half, eye + half)
 
 
 class SpRuleKind(enum.Enum):

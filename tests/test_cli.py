@@ -590,6 +590,26 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, arg
     assert "Traceback" not in err
 
 
+#: Input files that are not JSON text a decoder can read: bytes that are not
+#: UTF-8, and arrays nested deeper than the decoder's recursion limit.
+MALFORMED_FILES = {
+    "not UTF-8": b"\xff\xfe{}",
+    "100000 deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", [["classify"], ["bloch", "--to-vector"]], ids=" ".join)
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_input_file_exits_2_without_traceback(tmp_path, command, name):
+    f = tmp_path / "bad.json"
+    f.write_bytes(MALFORMED_FILES[name])
+    res = run_cli(*command, "--input", str(f))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: invalid JSON in {f}: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_negative_seed_is_a_parse_error(capsys):
     assert cli.main(["qutrit", "fraction", "--seed", "-1"]) == 2
     assert "--seed must be >= 0" in capsys.readouterr().err

@@ -12,14 +12,23 @@ import orbit_atlas
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: Runs ``python -m orbit_atlas ARGS`` in this interpreter and reports at
-#: exit, after the command's own exit, whether numpy was ever imported.
+#: Run as ``python -c MAIN_THEN_REPORT MODULE ARGS``: runs ``python -m
+#: orbit_atlas ARGS`` in this interpreter and reports at exit, after the
+#: command's own exit, whether MODULE was ever imported.
 MAIN_THEN_REPORT = """
 import atexit, runpy, sys
-atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+module = sys.argv.pop(1)
+atexit.register(lambda: print(module, "loaded:", module in sys.modules, file=sys.stderr))
 sys.argv[0] = "orbit_atlas"
 runpy.run_module("orbit_atlas", run_name="__main__", alter_sys=True)
 """
+
+
+def run_then_report(module, argv):
+    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", MAIN_THEN_REPORT, module, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 #: Commands that run without numpy, with their exit codes: every orbit
@@ -39,13 +48,21 @@ NUMPY_FREE = [(["tables", str(n)], 0) for n in range(2, 9)] + [
 
 @pytest.mark.parametrize("argv, code", NUMPY_FREE, ids=[" ".join(a) for a, _ in NUMPY_FREE])
 def test_command_starts_without_numpy(argv, code):
-    path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    res = subprocess.run([sys.executable, "-c", MAIN_THEN_REPORT, *argv],
-                         capture_output=True, text=True, env=env, timeout=60)
+    res = run_then_report("numpy", argv)
     assert res.returncode == code, res.stderr
     assert bool(res.stdout) == (code == 0)
     assert res.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["tables", "sp"]], ids=" ".join)
+def test_command_leaves_qutrit_out(argv, tmp_path):
+    if argv[0] == "classify":
+        state = tmp_path / "m.json"
+        state.write_text('{"dim": 2, "re": [[0.75, 0], [0, 0.25]]}')
+        argv = argv + ["--input", str(state)]
+    res = run_then_report("orbit_atlas.qutrit", argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[-1] == "orbit_atlas.qutrit loaded: False"
 
 
 #: Every name the package re-exported when its __init__ imported eagerly,
@@ -55,9 +72,8 @@ REEXPORTS = {
         LengthMismatch NoConvergence NotHermitian NotNormalized
         NotPositiveSemidefinite NotSquare NotUnitTrace OddDimension
         OrbitAtlasError ParameterOutOfRange ParseError ValidationError""",
-    "linalg": """DEFAULT_TOL DensityMatrix EigenSystem convex_path hermitian_eigensystem
-        purity random_density_matrix random_unitary trace_invariants
-        unitarily_equivalent""",
+    "linalg": """DEFAULT_TOL DensityMatrix convex_path purity random_density_matrix
+        random_unitary trace_invariants unitarily_equivalent""",
     "orbits": """DEFAULT_CLUSTER_TOL MajorizationResult OrbitSignature OrbitTableRow
         StateClass enumerate_orbit_table entropy_of_spectrum flag_manifold_name
         majorize_compare orbit_dimension orbit_signature von_neumann_entropy""",

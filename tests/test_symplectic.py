@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from orbit_atlas import (
     AmbiguousClustering,
+    DimensionOutOfRange,
     LengthMismatch,
     NotNormalized,
     OddDimension,
@@ -83,6 +84,13 @@ class TestRandomSymplectic:
                 s = random_symplectic(n, seed)
                 assert is_symplectic(s, tol=1e-8)
                 assert has_sp_block_form(s, tol=1e-8)
+
+    def test_every_size_up_to_the_matrix_cap_and_no_further(self):
+        for n in range(1, 33):
+            s = random_symplectic(n, 0)
+            assert is_symplectic(s) and has_sp_block_form(s)
+        with pytest.raises(DimensionOutOfRange, match=r"^matrix dimension 66 outside \[1, 64\]$"):
+            random_symplectic(33)
 
     @settings(max_examples=30)
     @given(n=st.integers(1, 32), seed=st.integers(0, 2 ** 63 - 1))
