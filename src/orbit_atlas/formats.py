@@ -12,6 +12,7 @@ are byte-identical and round-trips stay within documented tolerances.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -41,6 +42,20 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _number_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, each leaf a JSON number."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f'"{name}" entries are not numeric: {exc}') from exc
+    _require(array.shape == shape, f'"{name}" must have shape {shape}, got {array.shape}')
+    # numpy reads "0.5" and true as numbers; exact types refuse bool, which
+    # is an int
+    leaves = value if array.ndim == 1 else itertools.chain.from_iterable(value)
+    _require(set(map(type, leaves)) <= {float, int}, f'"{name}" entries must be JSON numbers')
+    return array
+
+
 def parse_matrix_obj(obj) -> np.ndarray:
     _require(isinstance(obj, dict), "matrix file must hold a JSON object")
     _require("dim" in obj, 'matrix file missing "dim"')
@@ -48,14 +63,10 @@ def parse_matrix_obj(obj) -> np.ndarray:
     n = obj["dim"]
     # type, not isinstance: JSON true is a bool, and bool is an int
     _require(type(n) is int and n >= 1, f'"dim" must be a positive integer, got {n!r}')
-    try:
-        re = np.array(obj["re"], dtype=float)
-        im_raw = obj.get("im")
-        im = np.zeros((n, n)) if im_raw is None else np.array(im_raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"matrix entries are not numeric: {exc}") from exc
-    _require(re.shape == (n, n), f'"re" must be {n}x{n}, got {re.shape}')
-    _require(im.shape == (n, n), f'"im" must be {n}x{n}, got {im.shape}')
+    # "re" is checked first: its shape bounds the zeros of a missing "im"
+    re = _number_array(obj["re"], "re", (n, n))
+    im_raw = obj.get("im")
+    im = np.zeros((n, n)) if im_raw is None else _number_array(im_raw, "im", (n, n))
     return re + 1j * im
 
 
@@ -79,12 +90,7 @@ def parse_vector_obj(obj) -> CoherenceVector:
     except ValidationError:
         names = " or ".join(f'"{c.value}"' for c in Convention)
         raise ParseError(f'"convention" must be {names}, got {obj["convention"]!r}') from None
-    try:
-        comps = np.array(obj["components"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"vector components are not numeric: {exc}") from exc
-    _require(comps.ndim == 1 and comps.shape[0] == n * n - 1,
-             f'"components" must hold {n * n - 1} reals, got shape {comps.shape}')
+    comps = _number_array(obj["components"], "components", (n * n - 1,))
     return CoherenceVector(dim=n, components=comps, convention=conv)
 
 

@@ -110,6 +110,32 @@ class TestClassify:
         assert out == ""
         assert f'"dim" must be a positive integer, got {dim!r}' in err
 
+    def test_huge_dim_without_im_exits_2(self, tmp_path):
+        # "re" is checked before the zeros of the missing "im" are allocated
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"dim": 1_000_000_000, "re": [[1]]}))
+        res = run_cli("classify", "--input", str(f))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ('error: "re" must have shape (1000000000, 1000000000), '
+                              'got (1, 1)\n')
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("entries, name", [
+        ({"re": [["0.5", "0"], [0, 0.5]]}, "re"),
+        ({"re": [[0.5, 0], [0, True]]}, "re"),
+        ({"re": [[0.5, 0], [0, 0.5]], "im": [[0, False], [0, 0]]}, "im"),
+        ({"re": [[0.5, 0], [0, 0.5]], "im": [[0, None], [0, 0]]}, "im"),
+    ], ids=["string re", "true re", "false im", "null im"])
+    def test_entry_that_is_not_a_json_number_exits_2(self, tmp_path, capsys, entries, name):
+        # numpy would read "0.5" as 0.5, true as 1.0 and null as nan
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"dim": 2, **entries}))
+        assert cli.main(["classify", "--input", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f'error: "{name}" entries must be JSON numbers\n'
+
     def test_nan_entry_exits_3(self, tmp_path):
         m = np.diag([0.5, 0.3, 0.2]).astype(complex)
         m[0, 1] = m[1, 0] = math.nan
@@ -293,6 +319,15 @@ class TestBloch:
         out, err = capsys.readouterr()
         assert out == ""
         assert f'"dim" must be an integer >= 2, got {dim!r}' in err
+
+    @pytest.mark.parametrize("comps", [["0.1", 0, 0], [0.1, True, 0], [0, 0, None]],
+                             ids=["string", "true", "null"])
+    def test_component_that_is_not_a_json_number_exits_2(self, tmp_path, capsys, comps):
+        f = write_vector(tmp_path / "v.json", 2, comps)
+        assert cli.main(["bloch", "--input", f, "--to-matrix"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == 'error: "components" entries must be JSON numbers\n'
 
     def test_bloch_convention_output(self, tmp_path):
         f = write_matrix(tmp_path / "m.json", np.diag([1.0, 0.0]))
