@@ -30,12 +30,12 @@ _EXPORTS = {
     "orbits": """MajorizationResult OrbitSignature StateClass entropy_of_spectrum
         flag_manifold_name majorize_compare orbit_dimension orbit_signature
         von_neumann_entropy""",
-    "pauli": """CoherenceVector PauliBasis convert_convention from_coherence_vector
+    "pauli": """CoherenceVector convert_convention from_coherence_vector
         generate_basis is_physical_vector to_coherence_vector""",
     "qutrit": """FeasibleInterval QutritRegionPoint RegionClass feasibility
         feasible_interval fig2_curve fig3_curve qutrit_from_params
         sphere_physical_fraction""",
-    "symplectic": """Quaternion SpOrbitReport SpRule SpRuleKind Table2Row complex_to_quat
+    "symplectic": """SpOrbitReport SpRule SpRuleKind Table2Row complex_to_quat
         has_sp_block_form is_symplectic quat_inner quat_mul quat_to_complex
         random_symplectic skew_form sp_orbit_bounds standard_J table2""",
 }

@@ -46,7 +46,8 @@ def _number_array(value, name: str, shape: tuple) -> np.ndarray:
     """``value`` as a float array of ``shape``, each leaf a JSON number."""
     try:
         array = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a double
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f'"{name}" entries are not numeric: {exc}') from exc
     _require(array.shape == shape, f'"{name}" must have shape {shape}, got {array.shape}')
     # numpy reads "0.5" and true as numbers; exact types refuse bool, which
@@ -108,8 +109,10 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    # JSON text is UTF-8, and the decoder recurses once per nesting level
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # JSON text is UTF-8, the decoder recurses once per nesting level, and
+    # int() refuses a literal past sys.get_int_max_str_digits(); the decode
+    # errors are all ValueErrors
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 

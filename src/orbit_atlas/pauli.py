@@ -20,9 +20,10 @@ above as O(n^2) index maps, cached per n, for 2 <= n <= 64.  Embedding
 gathers entries through them.  Reconstruction is one scatter, ``_expand``,
 which writes identity * I together with sum_k s_k sigma_k into one array:
 ``from_coherence_vector`` and the Monte Carlo sampler of ``qutrit`` call it
-with identity 1/n, and ``generate_basis``, the only dense path (n <= 16),
-with identity 0.  ``convert_convention`` is the one place that knows the
-Bloch factor of two.
+with identity 1/n.  ``generate_basis`` (n <= 16) calls it with identity 0
+on the rows of the identity matrix, so the dense basis is the read-only
+(n^2 - 1, n, n) stack of its elements; no embedding reads it.
+``convert_convention`` is the one place that knows the Bloch factor of two.
 """
 
 from __future__ import annotations
@@ -39,18 +40,6 @@ from .core import (DEFAULT_TOL, MAX_BASIS_DIM, MIN_BASIS_DIM, Convention, _check
                    _check_int)
 from .exceptions import DimensionOutOfRange, LengthMismatch, ValidationError
 from .linalg import MAX_DIM, DensityMatrix, positivity_test
-
-
-@dataclass(frozen=True)
-class PauliBasis:
-    """The n^2 - 1 orthonormal traceless Hermitian basis elements for one n."""
-
-    dim: int
-    elements: tuple
-    identity_element: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -130,15 +119,14 @@ def _expand(comps, n: int, identity: float) -> np.ndarray:
     return result
 
 
-def generate_basis(n: int) -> PauliBasis:
+def generate_basis(n: int) -> np.ndarray:
     """Orthonormal traceless Hermitian basis for dimension n (2 <= n <= 16),
-    as dense read-only matrices."""
+    as one read-only (n^2 - 1, n, n) stack of dense matrices in the basis
+    order."""
     n = _check_dense_dim(n)
     stack = _expand(np.eye(n * n - 1), n, 0.0)
-    identity = np.eye(n, dtype=np.complex128) / sqrt(n)
-    for a in (stack, identity):
-        a.setflags(write=False)
-    return PauliBasis(dim=n, elements=tuple(stack), identity_element=identity)
+    stack.setflags(write=False)
+    return stack
 
 
 def to_coherence_vector(rho: DensityMatrix) -> CoherenceVector:

@@ -9,6 +9,13 @@ ordered diagonal spectra, the published bound comparison table, and the
 quaternion model of Sp(n) with its inner-product decomposition and skew
 form.
 
+Quaternions are plain float arrays of shape (..., 4), the coefficients of
+1, e1, e2 and e3; ``QUAT_ONE`` .. ``QUAT_E3`` are the read-only rows of
+``np.eye(4)``.  ``quat_mul`` is the Hamilton product, broadcast over the
+leading axes.  A quaternion vector in H^n is an (n, 4) array, and
+``quat_to_complex`` and ``complex_to_quat`` slice it to and from its
+length-2n complex image in C^2n.
+
 Orbit-bound rules, applied to the diagonal AS ORDERED (the symplectic
 action distinguishes arrangements that are unitarily equivalent):
 
@@ -257,87 +264,67 @@ def table2() -> list[Table2Row]:
 # --------------------------------------------------------------------------
 # Quaternion model: H^n with the symplectic inner product maps onto C^2n
 # carrying the Hermitian product plus e2 times the canonical skew form.
+# Basis relations: e_i^2 = -1 and e1 e2 = e3 cyclic.
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Coefficients of 1, e1, e2, e3 with e_i^2 = -1 and e1 e2 = e3 cyclic."""
-
-    w: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return quat_mul(self, other)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+_QUAT_BASIS = np.eye(4)
+_QUAT_BASIS.setflags(write=False)
+QUAT_ONE, QUAT_E1, QUAT_E2, QUAT_E3 = _QUAT_BASIS
 
 
-QUAT_ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
-QUAT_E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
-QUAT_E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
-QUAT_E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
+def _quat_vector(qvec) -> np.ndarray:
+    q = np.asarray(qvec, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise LengthMismatch(f"expected an (n, 4) quaternion vector, got shape {q.shape}")
+    return q
 
 
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Associative bilinear product fixed by the basis relations."""
-    return Quaternion(
-        w=p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        x=p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        y=p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        z=p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+def quat_mul(p, q) -> np.ndarray:
+    """Hamilton product of quaternion arrays of shape (..., 4), broadcast
+    over the leading axes: the associative bilinear product fixed by the
+    basis relations."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack((
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ), axis=-1)
 
 
 def quat_to_complex(qvec) -> np.ndarray:
     """Complex coordinates of a quaternion vector.
 
     Each q = (q0 + q1 e1) + e2 (q2 - q3 e1) splits into the complex pair
-    (q0 + i q1, q2 - i q3); a length-n quaternion vector maps to the length
+    (q0 + i q1, q2 - i q3); an (n, 4) quaternion vector maps to the length
     2n complex vector holding all first components, then all second ones.
-    The map is bijective with exact inverse (complex_to_quat).
+    The map is bijective with exact inverse (complex_to_quat).  Any other
+    shape raises LengthMismatch.
     """
-    qs = list(qvec)
-    n = len(qs)
-    out = np.empty(2 * n, dtype=np.complex128)
-    for i, q in enumerate(qs):
-        out[i] = q.w + 1j * q.x
-        out[n + i] = q.y - 1j * q.z
-    return out
+    q = _quat_vector(qvec)
+    return np.concatenate((q[:, 0] + 1j * q[:, 1], q[:, 2] - 1j * q[:, 3]))
 
 
-def complex_to_quat(zvec) -> list[Quaternion]:
-    """Exact inverse of quat_to_complex."""
+def complex_to_quat(zvec) -> np.ndarray:
+    """Exact inverse of quat_to_complex, as an (n, 4) array."""
     z = np.asarray(zvec, dtype=np.complex128)
     if z.ndim != 1 or z.shape[0] % 2 != 0:
         raise LengthMismatch(f"expected even-length complex vector, got {z.shape}")
-    n = z.shape[0] // 2
-    return [Quaternion(w=z[i].real, x=z[i].imag,
-                       y=z[n + i].real, z=-z[n + i].imag)
-            for i in range(n)]
+    first, second = np.split(z, 2)
+    return np.stack((first.real, first.imag, second.real, -second.imag), axis=-1)
 
 
-def quat_inner(qvec, qvec2) -> Quaternion:
-    """Symplectic inner product sum conj(q_i) q'_i over quaternion vectors.
+def quat_inner(qvec, qvec2) -> np.ndarray:
+    """Symplectic inner product sum conj(q_i) q'_i of two (n, 4) quaternion
+    vectors.
 
     Under quat_to_complex it decomposes as the complex Hermitian product
     plus e2 times the skew form of the images.
     """
-    qs, q2s = list(qvec), list(qvec2)
-    if len(qs) != len(q2s):
-        raise LengthMismatch(f"length mismatch: {len(qs)} vs {len(q2s)}")
-    acc = Quaternion()
-    for p, q in zip(qs, q2s):
-        acc = acc + quat_mul(p.conjugate(), q)
-    return acc
+    p, q = _quat_vector(qvec), _quat_vector(qvec2)
+    if p.shape != q.shape:
+        raise LengthMismatch(f"length mismatch: {len(p)} vs {len(q)}")
+    return quat_mul(p * (1.0, -1.0, -1.0, -1.0), q).sum(axis=0)
 
 
 def skew_form(zvec, zvec2) -> complex:

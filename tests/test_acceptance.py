@@ -34,7 +34,7 @@ from orbit_atlas import (
     von_neumann_entropy,
 )
 from orbit_atlas.pauli import CoherenceVector
-from orbit_atlas.symplectic import QUAT_E1, QUAT_E2, QUAT_E3, QUAT_ONE, Quaternion
+from orbit_atlas.symplectic import QUAT_E1, QUAT_E2, QUAT_E3, QUAT_ONE
 
 
 def _criterion(num, description, ok):
@@ -45,7 +45,7 @@ def _criterion(num, description, ok):
 def test_criterion_01_basis_orthonormality():
     worst = 0.0
     for n in range(2, 9):
-        stack = np.stack(generate_basis(n).elements)
+        stack = generate_basis(n)
         gram = np.einsum("aij,bji->ab", stack, stack).real
         worst = max(worst, float(np.abs(gram - np.eye(n * n - 1)).max()))
     _criterion(1, f"basis orthonormality for n=2..8 (worst {worst:.2e} <= 1e-10)",
@@ -106,7 +106,7 @@ def test_criterion_04_symplectic_table_reproduction():
 
 
 def _batched_min_eigs(vecs, n):
-    stack = np.stack(generate_basis(n).elements)
+    stack = generate_basis(n)
     mats = np.eye(n, dtype=np.complex128) / n + np.tensordot(
         vecs, stack, axes=(1, 0))
     return np.linalg.eigvalsh(mats)[:, 0]
@@ -267,14 +267,15 @@ def test_criterion_10_symplectic_suite():
 
     ok_inner = True
     for _ in range(1000):
-        qs = [Quaternion(*rng.standard_normal(4)) for _ in range(2)]
-        q2s = [Quaternion(*rng.standard_normal(4)) for _ in range(2)]
+        qs = [np.array(rng.standard_normal(4)) for _ in range(2)]
+        q2s = [np.array(rng.standard_normal(4)) for _ in range(2)]
         inner = quat_inner(qs, q2s)
         z, z2 = quat_to_complex(qs), quat_to_complex(q2s)
         herm = complex(np.vdot(z, z2))
         skew = skew_form(z, z2)
-        err = max(abs(inner.w - herm.real), abs(inner.x - herm.imag),
-                  abs(inner.y - skew.real), abs(inner.z + skew.imag))
+        q0, q1, q2, q3 = tuple(inner)
+        err = max(abs(q0 - herm.real), abs(q1 - herm.imag),
+                  abs(q2 - skew.real), abs(q3 + skew.imag))
         ok_inner = ok_inner and err <= 1e-12
 
     basis = {"1": QUAT_ONE, "e1": QUAT_E1, "e2": QUAT_E2, "e3": QUAT_E3}
@@ -291,8 +292,7 @@ def test_criterion_10_symplectic_suite():
     for (a, b), (sign, name) in products.items():
         got = quat_mul(basis[a], basis[b])
         want = basis[name] if sign > 0 else -basis[name]
-        ok_products = ok_products and (got.w, got.x, got.y, got.z) == (
-            want.w, want.x, want.y, want.z)
+        ok_products = ok_products and tuple(got) == tuple(want)
 
     _criterion(10, "300 random symplectic matrices pass all group checks at "
                    "1e-8; quaternion inner-product decomposition <= 1e-12 on "

@@ -320,14 +320,19 @@ class TestBloch:
         assert out == ""
         assert f'"dim" must be an integer >= 2, got {dim!r}' in err
 
-    @pytest.mark.parametrize("comps", [["0.1", 0, 0], [0.1, True, 0], [0, 0, None]],
-                             ids=["string", "true", "null"])
-    def test_component_that_is_not_a_json_number_exits_2(self, tmp_path, capsys, comps):
+    @pytest.mark.parametrize("comps, reason", [
+        (["0.1", 0, 0], "must be JSON numbers"),
+        ([0.1, True, 0], "must be JSON numbers"),
+        ([0, 0, None], "must be JSON numbers"),
+        ([10 ** 400, 0, 0], "are not numeric: int too large to convert to float"),
+    ], ids=["string", "true", "null", "past a double"])
+    def test_component_that_is_not_a_json_number_exits_2(self, tmp_path, capsys, comps,
+                                                         reason):
         f = write_vector(tmp_path / "v.json", 2, comps)
         assert cli.main(["bloch", "--input", f, "--to-matrix"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == 'error: "components" entries must be JSON numbers\n'
+        assert err == f'error: "components" entries {reason}\n'
 
     def test_bloch_convention_output(self, tmp_path):
         f = write_matrix(tmp_path / "m.json", np.diag([1.0, 0.0]))
@@ -625,23 +630,33 @@ def test_flag_a_command_does_not_read_exits_2(tmp_path, monkeypatch, capsys, arg
     assert "Traceback" not in err
 
 
-#: Input files that are not JSON text a decoder can read: bytes that are not
-#: UTF-8, and arrays nested deeper than the decoder's recursion limit.
+#: Matrix files that must be refused with one ``error:`` line, each with the
+#: start of that line (``{f}`` is the file's path): bytes that are not UTF-8,
+#: arrays nested deeper than the decoder's recursion limit, and integers that
+#: the decoder or a double cannot hold.
 MALFORMED_FILES = {
-    "not UTF-8": b"\xff\xfe{}",
-    "100000 deep": b"[" * 100_000 + b"]" * 100_000,
+    "not UTF-8": (b"\xff\xfe{}", "invalid JSON in {f}: "),
+    "100000 deep": (b"[" * 100_000 + b"]" * 100_000, "invalid JSON in {f}: "),
+    # int() refuses a literal of more than 4300 digits inside the decoder
+    "dim of 4400 digits": (b'{"dim": 1' + b"0" * 4400 + b', "re": [[1]]}',
+                           "invalid JSON in {f}: "),
+    # a JSON number that no double holds
+    "re entry of 401 digits": (b'{"dim": 1, "re": [[1' + b"0" * 400 + b']]}',
+                               '"re" entries are not numeric: '),
 }
 
 
 @pytest.mark.parametrize("command", [["classify"], ["bloch", "--to-vector"]], ids=" ".join)
 @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
 def test_malformed_input_file_exits_2_without_traceback(tmp_path, command, name):
+    content, start = MALFORMED_FILES[name]
     f = tmp_path / "bad.json"
-    f.write_bytes(MALFORMED_FILES[name])
+    f.write_bytes(content)
     res = run_cli(*command, "--input", str(f))
     assert res.returncode == 2
     assert res.stdout == ""
-    assert res.stderr.startswith(f"error: invalid JSON in {f}: ")
+    assert res.stderr.startswith("error: " + start.format(f=f))
+    assert res.stderr.count("\n") == 1
     assert "Traceback" not in res.stderr
 
 

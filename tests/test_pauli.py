@@ -24,11 +24,6 @@ from orbit_atlas.pauli import MAX_BASIS_DIM, _expand, _index_maps
 SQRT2 = np.sqrt(2.0)
 
 
-def dense_stack(n):
-    """Reference: all basis elements as one dense (n^2-1, n, n) array."""
-    return np.stack(generate_basis(n).elements)
-
-
 def gell_mann_reference(n):
     """Generalized Gell-Mann matrices divided by sqrt(2), built entry by
     entry in Bertlmann-Krammer order: symmetric, antisymmetric, diagonal."""
@@ -56,8 +51,7 @@ def unfolded_reconstruction(comps, n):
     return np.eye(n, dtype=np.complex128) / n + _expand(comps, n, 0.0)
 
 
-def gram_matrix(basis):
-    stack = np.stack(basis.elements)
+def gram_matrix(stack):
     return np.einsum("aij,bji->ab", stack, stack).real
 
 
@@ -67,18 +61,18 @@ class TestBasisGeneration:
         x = np.array([[0, 1], [1, 0]]) / SQRT2
         y = np.array([[0, -1j], [1j, 0]]) / SQRT2
         z = np.array([[1, 0], [0, -1]]) / SQRT2
-        for got, want in zip(basis.elements, (x, y, z)):
+        for got, want in zip(basis, (x, y, z)):
             assert np.abs(got - want).max() <= 1e-15
 
     def test_qutrit_first_diagonal_element(self):
         basis = generate_basis(3)
         # diagonal block starts after 3 symmetric + 3 antisymmetric elements
-        z1 = basis.elements[6]
+        z1 = basis[6]
         assert np.abs(z1 - np.diag([1, -1, 0]) / SQRT2).max() <= 1e-15
 
     def test_element_count(self):
         for n in range(2, 9):
-            assert len(generate_basis(n)) == n * n - 1
+            assert generate_basis(n).shape == (n * n - 1, n, n)
 
     def test_orthonormality(self):
         for n in range(2, 9):
@@ -87,13 +81,15 @@ class TestBasisGeneration:
 
     def test_traceless_and_hermitian(self):
         for n in (2, 3, 5, 8):
-            for el in generate_basis(n).elements:
+            for el in generate_basis(n):
                 assert abs(el.trace()) <= 1e-12
                 assert np.abs(el - el.conj().T).max() <= 1e-12
 
-    def test_identity_element(self):
-        basis = generate_basis(4)
-        assert np.abs(basis.identity_element - np.eye(4) / 2.0).max() <= 1e-15
+    def test_stack_is_read_only(self):
+        stack = generate_basis(3)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 1.0
 
     def test_dimension_out_of_range(self):
         with pytest.raises(DimensionOutOfRange):
@@ -153,7 +149,7 @@ class TestIndexMaps:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_gather_matches_dense_reference(self, n):
         rng = np.random.default_rng(71 + n)
-        stack = dense_stack(n)
+        stack = generate_basis(n)
         for _ in range(5):
             rho = random_density_matrix(n, rng)
             want = np.einsum("kij,ji->k", stack, rho.matrix).real
@@ -162,13 +158,13 @@ class TestIndexMaps:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 16])
     def test_basis_is_the_textbook_gell_mann_basis(self, n):
-        got = np.stack(generate_basis(n).elements)
+        got = generate_basis(n)
         assert np.abs(got - gell_mann_reference(n)).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
     def test_scatter_matches_dense_reference(self, n):
         comps = np.random.default_rng(73 + n).standard_normal(n * n - 1)
-        want = np.tensordot(comps, dense_stack(n), axes=(0, 0))
+        want = np.tensordot(comps, generate_basis(n), axes=(0, 0))
         assert np.abs(_expand(comps, n, 0.0) - want).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [3, 8, 16])
@@ -179,7 +175,7 @@ class TestIndexMaps:
         g = np.random.default_rng(79 + n).standard_normal((500, n * n - 1))
         vecs = g * (0.3 / np.linalg.norm(g, axis=1))[:, None]
         center = np.eye(n, dtype=np.complex128) / n
-        want = center + np.tensordot(vecs, dense_stack(n), axes=(1, 0))
+        want = center + np.tensordot(vecs, generate_basis(n), axes=(1, 0))
         assert _expand(vecs, n, 1.0 / n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32, 64])
@@ -201,7 +197,7 @@ class TestIndexMaps:
                 got = from_coherence_vector(vec)
                 assert got.tobytes() == unfolded_reconstruction(coherence, n).tobytes()
                 if n <= MAX_BASIS_DIM:
-                    dense = np.tensordot(coherence, dense_stack(n), axes=(0, 0))
+                    dense = np.tensordot(coherence, generate_basis(n), axes=(0, 0))
                     assert np.abs(got - np.eye(n) / n - dense).max() <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 16, 64])

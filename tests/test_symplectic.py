@@ -13,7 +13,6 @@ from orbit_atlas import (
     NotNormalized,
     OddDimension,
     ParameterOutOfRange,
-    Quaternion,
     SpRuleKind,
     complex_to_quat,
     has_sp_block_form,
@@ -293,7 +292,7 @@ QUAT_PRODUCTS = {
 
 
 def quat_components(q):
-    return (q.w, q.x, q.y, q.z)
+    return tuple(q)
 
 
 class TestQuaternions:
@@ -315,9 +314,19 @@ class TestQuaternions:
                     assert quat_components(left) == quat_components(right)
 
     def test_unit(self):
-        q = Quaternion(0.3, -0.2, 0.7, 1.1)
+        q = np.array([0.3, -0.2, 0.7, 1.1])
         assert quat_components(quat_mul(QUAT_ONE, q)) == quat_components(q)
         assert quat_components(quat_mul(q, QUAT_ONE)) == quat_components(q)
+
+    def test_stacks_multiply_row_by_row(self):
+        rng = np.random.default_rng(89)
+        p, q = rng.standard_normal((2, 7, 4))
+        got = quat_mul(p, q)
+        assert got.shape == (7, 4)
+        for k in range(7):
+            assert quat_components(got[k]) == quat_components(quat_mul(p[k], q[k]))
+        # one quaternion broadcasts against a stack
+        assert np.array_equal(quat_mul(QUAT_E1, q), np.stack([quat_mul(QUAT_E1, r) for r in q]))
 
 
 class TestQuaternionComplexBridge:
@@ -329,13 +338,13 @@ class TestQuaternionComplexBridge:
 
     def test_round_trip(self):
         rng = np.random.default_rng(97)
-        qs = [Quaternion(*rng.standard_normal(4)) for _ in range(5)]
+        qs = [np.array(rng.standard_normal(4)) for _ in range(5)]
         back = complex_to_quat(quat_to_complex(qs))
         for q, b in zip(qs, back):
             assert quat_components(q) == pytest.approx(quat_components(b), abs=0)
 
     def test_unit_vector_inner_product(self):
-        q = Quaternion(0.5, 0.5, 0.5, 0.5)  # unit quaternion
+        q = np.array([0.5, 0.5, 0.5, 0.5])  # unit quaternion
         got = quat_inner([q], [q])
         assert quat_components(got) == pytest.approx((1.0, 0, 0, 0), abs=1e-15)
 
@@ -350,8 +359,8 @@ class TestQuaternionComplexBridge:
     def test_inner_product_decomposition(self):
         rng = np.random.default_rng(113)
         for _ in range(50):
-            qs = [Quaternion(*rng.standard_normal(4)) for _ in range(3)]
-            q2s = [Quaternion(*rng.standard_normal(4)) for _ in range(3)]
+            qs = [np.array(rng.standard_normal(4)) for _ in range(3)]
+            q2s = [np.array(rng.standard_normal(4)) for _ in range(3)]
             inner = quat_inner(qs, q2s)
             z, z2 = quat_to_complex(qs), quat_to_complex(q2s)
             herm = complex(np.vdot(z, z2))
@@ -362,6 +371,11 @@ class TestQuaternionComplexBridge:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             quat_inner([QUAT_ONE], [QUAT_ONE, QUAT_E1])
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 5), (1, 2, 4)])
+    def test_refuses_a_shape_that_is_not_n_by_4(self, shape):
+        with pytest.raises(LengthMismatch):
+            quat_to_complex(np.zeros(shape))
 
 
 class TestSkewForm:
