@@ -25,16 +25,15 @@ _EXPORTS = {
         OrbitAtlasError ParameterOutOfRange ParseError ValidationError""",
     "core": """DEFAULT_CLUSTER_TOL DEFAULT_TOL Convention OrbitTableRow
         enumerate_orbit_table""",
-    "linalg": """DensityMatrix convex_path purity random_density_matrix
-        random_unitary trace_invariants unitarily_equivalent""",
+    "linalg": """DensityMatrix purity random_density_matrix random_unitary
+        unitarily_equivalent""",
     "orbits": """MajorizationResult OrbitSignature StateClass entropy_of_spectrum
         flag_manifold_name majorize_compare orbit_dimension orbit_signature
         von_neumann_entropy""",
     "pauli": """CoherenceVector convert_convention from_coherence_vector
         generate_basis is_physical_vector to_coherence_vector""",
-    "qutrit": """FeasibleInterval QutritRegionPoint RegionClass feasibility
-        feasible_interval fig2_curve fig3_curve qutrit_from_params
-        sphere_physical_fraction""",
+    "qutrit": """FeasibleInterval QutritRegionPoint RegionClass feasible_interval
+        fig2_curve fig3_curve qutrit_from_params sphere_physical_fraction""",
     "symplectic": """SpOrbitReport SpRule SpRuleKind Table2Row complex_to_quat
         has_sp_block_form is_symplectic quat_inner quat_mul quat_to_complex
         random_symplectic skew_form sp_orbit_bounds standard_J table2""",

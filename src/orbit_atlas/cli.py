@@ -160,7 +160,7 @@ def cmd_qutrit(args) -> int:
         c2 = min(args.c2, 1.0)
         samples = _at_least(args.samples, 1, "--samples")
         seed = _at_least(args.seed, 0, "--seed")
-        tol = core.check_tolerance(_tol(args))
+        tol = core._check_state_tol(_tol(args), n)
         from . import formats, qutrit
         frac = qutrit.sphere_physical_fraction(n, c2, samples, seed, tol=tol)
         row = (n, c2, samples, frac, seed)

@@ -3,10 +3,10 @@
 Everything the command line needs before it knows which command runs,
 everything its argument checks and their messages need, and everything
 ``tables 2..8`` needs, lives here and imports nothing but the standard
-library and ``exceptions``: the tolerance, integer and dense-dimension
-checks, the package defaults and limits, the 12-digit number format, the
-coherence/Bloch ``Convention``, the flag-manifold arithmetic of multiplicity
-patterns, the orbit table and its CSV writer.  Each name is re-exported by
+library and ``exceptions``: the tolerance, state-tolerance, integer and
+dense-dimension checks, the package defaults and limits, the 12-digit
+number format, the coherence/Bloch ``Convention``, the flag-manifold
+arithmetic of multiplicity patterns, the orbit table and its CSV writer.  Each name is re-exported by
 the module that uses it with numpy (``linalg.check_tolerance``,
 ``orbits.enumerate_orbit_table``, ``pauli.Convention``, ``formats.fmt``,
 ``pauli.MAX_BASIS_DIM``, ``qutrit.MAX_A_STEPS``, ...), so either import
@@ -58,6 +58,16 @@ def check_tolerance(tol: float, name: str = "tolerance") -> float:
     tol = float(tol)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterOutOfRange(f"{name} must be finite and nonnegative, got {tol}")
+    return tol
+
+
+def _check_state_tol(tol: float, n: int) -> float:
+    """``tol`` by ``check_tolerance``; ParameterOutOfRange unless also
+    tol < 1/n, so that the positivity slack tol * n stays below the unit
+    trace: at a slack of 1 a matrix with an eigenvalue of -1 passes."""
+    tol = check_tolerance(tol)
+    if tol * n >= 1.0:
+        raise ParameterOutOfRange(f"tolerance {tol} outside [0, 1/n) at n={n}")
     return tol
 
 

@@ -68,7 +68,10 @@ def parse_matrix_obj(obj) -> np.ndarray:
     re = _number_array(obj["re"], "re", (n, n))
     im_raw = obj.get("im")
     im = np.zeros((n, n)) if im_raw is None else _number_array(im_raw, "im", (n, n))
-    return re + 1j * im
+    # not re + 1j * im: 1j * inf is nan + inf j, and numpy warns
+    m = np.empty((n, n), dtype=np.complex128)
+    m.real, m.imag = re, im
+    return m
 
 
 def matrix_to_obj(matrix) -> dict:

@@ -1,11 +1,11 @@
 """Dense complex-matrix foundation.
 
 The package's one eigensolver (``positivity_test``'s ``eigvalsh``), the
-positivity rule and its batched Cholesky screen, trace invariants,
-density-matrix validation and convex combination.  Every spectrum the
-package reports comes from that one call.  Matrices are plain
-``numpy.ndarray`` objects of dtype complex128; everything here is a pure
-function over immutable values, so the module is safe for concurrent use.
+positivity rule and its batched Cholesky screen, density-matrix validation
+and orbit comparison.  Every spectrum the package reports comes from that
+one call.  Matrices are plain ``numpy.ndarray`` objects of dtype
+complex128; everything here is a pure function over immutable values, so
+the module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import DEFAULT_TOL, _check_int, check_tolerance
+from .core import DEFAULT_TOL, _check_int, _check_state_tol, check_tolerance
 from .exceptions import (
     DimensionMismatch,
     DimensionOutOfRange,
@@ -22,7 +22,6 @@ from .exceptions import (
     NotPositiveSemidefinite,
     NotSquare,
     NotUnitTrace,
-    ParameterOutOfRange,
     ValidationError,
 )
 
@@ -63,13 +62,14 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 def positivity_test(matrices, tol: float = DEFAULT_TOL):
     """``(physical, spectra)`` of one Hermitian n x n matrix or a stack: the
-    ascending eigenvalues, and whether the smallest is >= -tol * n.
+    ascending eigenvalues, and whether the smallest is >= -tol * n, for tol
+    in [0, 1/n) (``core._check_state_tol``).
 
     The one home of the positivity rule.  ``physical_mask`` gives the same
     verdicts without the spectra: it settles each matrix by Cholesky outside
     a roundoff band around -tol * n and sends only the band here.
     """
-    tol = check_tolerance(tol)
+    tol = _check_state_tol(tol, np.shape(matrices)[-1])
     try:
         spectra = np.linalg.eigvalsh(matrices)
     except np.linalg.LinAlgError as exc:
@@ -99,9 +99,9 @@ def physical_mask(stack, tol: float = DEFAULT_TOL) -> np.ndarray:
     ``margin = SCREEN_MARGIN * n * max(max|entry|, tol * n, 1)``.  The
     matrices between the two, the roundoff band, go to ``positivity_test``.
     """
-    tol = check_tolerance(tol)
     stack = np.asarray(stack, dtype=np.complex128)
     n = stack.shape[-1]
+    tol = _check_state_tol(tol, n)
     flat = stack.reshape(-1, n, n)
     margin = SCREEN_MARGIN * n * max(float(np.abs(flat).max(initial=0.0)), tol * n, 1.0)
     mask = _definite(flat.copy(), tol * n + margin)
@@ -116,28 +116,35 @@ class DensityMatrix:
     """Validated quantum state: Hermitian, unit trace, positive semidefinite.
 
     Construction checks all three invariants against ``tol`` and raises the
-    matching exception naming the violated invariant.  The state is the
-    Hermitian part (M + M^dag) / 2 of the admitted input M, which is M bit
-    for bit when M is exactly Hermitian.  Its spectrum is solved once and
-    kept; both arrays are read-only, so instances are immutable.
+    matching exception naming the violated invariant; ``tol`` must lie in
+    [0, 1/n).  The state is the Hermitian part M/2 + M^dag/2 of the admitted
+    input M, which is M bit for bit when M is exactly Hermitian and has no
+    subnormal entry.  Its spectrum is solved once and kept; both arrays are
+    read-only, so instances are immutable.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_tol")
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        tol = check_tolerance(tol)
         m = as_complex_matrix(matrix)
-        defect = hermiticity_defect(m)
-        if defect > tol:
+        tol = _check_state_tol(tol, m.shape[0])
+        # entries near the largest double may overflow both measures to inf,
+        # or the trace to NaN (inf - inf), and neither passes ``<= tol``
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = hermiticity_defect(m)
+            trace_dev = abs(m.trace() - 1.0)
+        if not defect <= tol:
             raise NotHermitian(
                 f"hermiticity violated: max |M - M^dag| = {defect:.3e} > {tol:.3e}")
-        trace_dev = abs(m.trace() - 1.0)
-        if trace_dev > tol:
+        if not trace_dev <= tol:
             raise NotUnitTrace(
                 f"unit trace violated: |Tr(M) - 1| = {trace_dev:.3e} > {tol:.3e}")
         # eigvalsh reads one triangle only: by it, an admitted skew part could
-        # move the spectrum by (n - 1) * tol / 2, beyond the cluster tolerance
-        h = (m + m.conj().T) / 2.0
+        # move the spectrum by (n - 1) * tol / 2, beyond the cluster tolerance.
+        # Halves first, so that no sum of two entries can overflow; h.conj()
+        # is a new array, so the in-place add reads no entry it has written.
+        h = m * 0.5
+        h += h.conj().T
         physical, ascending = positivity_test(h, tol)
         if not physical:
             raise NotPositiveSemidefinite(
@@ -175,16 +182,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.sum(rho.eigenvalues() ** 2))
 
 
-def trace_invariants(rho: DensityMatrix) -> np.ndarray:
-    """Vector of Tr(rho^r) for r = 1..n, computed from eigenvalue powers.
-
-    Entry 0 is the trace itself and equals one up to validation tolerance.
-    """
-    w = rho.eigenvalues()
-    n = rho.dim
-    return np.array([float(np.sum(w ** r)) for r in range(1, n + 1)])
-
-
 def unitarily_equivalent(rho1: DensityMatrix, rho2: DensityMatrix,
                          tol: float = DEFAULT_TOL) -> bool:
     """Whether two states lie on the same conjugation orbit: their stored
@@ -193,18 +190,6 @@ def unitarily_equivalent(rho1: DensityMatrix, rho2: DensityMatrix,
     if rho1.dim != rho2.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     return bool(np.abs(rho1._spectrum - rho2._spectrum).max() <= tol)
-
-
-def convex_path(rho1: DensityMatrix, rho2: DensityMatrix,
-                t: float) -> DensityMatrix:
-    """The state (1-t) rho1 + t rho2 on the straight segment between two states."""
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatch(
-            f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRange(f"path parameter t={t} outside [0, 1]")
-    blend = (1.0 - t) * rho1.matrix + t * rho2.matrix
-    return DensityMatrix(blend, tol=max(rho1.tol, rho2.tol))
 
 
 def _as_rng(seed) -> np.random.Generator:

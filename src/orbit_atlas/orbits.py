@@ -41,10 +41,6 @@ class OrbitSignature:
     cluster_tol: float
     state_class: StateClass
 
-    @property
-    def num_distinct(self) -> int:
-        return len(self.distinct_values)
-
 
 def _classify(n: int, values: tuple, mults: tuple,
               cluster_tol: float) -> StateClass:

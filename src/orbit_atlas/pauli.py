@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -59,8 +59,13 @@ class CoherenceVector:
             raise LengthMismatch(
                 f"expected {expected} components for dim {self.dim}, "
                 f"got shape {comps.shape}")
-        if not np.isfinite(comps).all():
-            raise ValidationError("coherence vector has a non-finite component")
+        # |s|^2 = Tr(rho^2) - 1/n, which also bounds every entry and eigenvalue
+        # of the matrix: a NaN or infinite component, or a length past the
+        # largest double, leaves no finite matrix to report
+        with np.errstate(over="ignore"):
+            if not isfinite(comps @ comps):
+                raise ValidationError(
+                    "coherence vector has a non-finite component or squared length")
         comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "convention", Convention(self.convention))

@@ -24,10 +24,9 @@ evaluates what depends on a alone (the three curves and two a-masks), and
 ``qutrit_from_params`` calls the kernel on one point, and ``fig2_curve`` and
 ``fig3_curve`` on a whole a-grid at once.  A classified grid is read only
 through ``_region_code_rows`` (the curves and class codes, for the CSV
-writer) or ``region_rows`` (RegionClass lists): they evaluate the a-terms
-once for the grid and the codes one c2 row at a time, holding one row in
-memory.  ``fig3_curve`` takes its entropies from
-``orbits.entropy_of_spectrum``.  The figure curves are
+writer): it evaluates the a-terms once for the grid and the codes one c2
+row at a time, holding one row in memory.  ``fig3_curve`` takes its
+entropies from ``orbits.entropy_of_spectrum``.  The figure curves are
 (N, 2) arrays of (a, value) rows, so their CSVs are formatted a whole
 column at a time.
 
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_A_STEPS, DEFAULT_TOL, MAX_A_STEPS, _check_dense_dim, _check_int,
-                   check_tolerance)
+                   _check_state_tol)
 from .exceptions import ParameterOutOfRange
 from .linalg import _as_rng, physical_mask
 from .orbits import entropy_of_spectrum
@@ -192,11 +191,6 @@ def _region_kernel(a, c2):
     return (1.0 - a + k) / 2.0, (1.0 - a - k) / 2.0, k, code
 
 
-def feasibility(a: float, c2: float) -> RegionClass:
-    """Classify one (a, c2) point against the three region inequalities."""
-    return qutrit_from_params(a, c2).classification
-
-
 def qutrit_from_params(a: float, c2: float) -> QutritRegionPoint:
     """Build the diagonal family member at (a, c2) with its classification.
 
@@ -276,16 +270,6 @@ def _region_code_rows(c2_values, a_values):
     terms = _a_terms(a_axis)
     rows = ((c2, _region_codes(terms, c2)[1]) for c2 in c2_axis.tolist())
     return np.stack(terms[0], axis=-1), rows
-
-
-def region_rows(c2_values, a_values):
-    """``(c2, classes)`` per c2 of a rectangular (c2, a) grid, in order.
-
-    ``classes`` lists the RegionClass of every a-value at that c2.  The grid
-    is checked as by ``_region_code_rows``, before this returns.
-    """
-    _, rows = _region_code_rows(c2_values, a_values)
-    return ((c2, [_CLASS_ORDER[k] for k in codes.tolist()]) for c2, codes in rows)
 
 
 def fig2_curve(c2: float, a_values) -> np.ndarray:
@@ -379,7 +363,7 @@ def sphere_physical_fraction(n: int, c2: float, samples: int,
     samples = _check_int(samples, "samples", 1)
     if not 1.0 / n < c2 <= 1.0 + 1e-12:
         raise ParameterOutOfRange(f"c2={c2} outside (1/{n}, 1]")
-    tol = check_tolerance(tol)
+    tol = _check_state_tol(tol, n)
     radius = math.sqrt(c2 - 1.0 / n)
     rng = _as_rng(seed)
     size = _mc_chunk(n)

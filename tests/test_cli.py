@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbit_atlas import cli
 
@@ -22,8 +28,6 @@ FRACTION_GOLDENS = GOLDENS["montecarlo"]
 
 
 def run_cli(*argv, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -151,6 +155,37 @@ class TestClassify:
         assert res.returncode == 3
         assert "Traceback" not in res.stderr
         assert "non-finite" in res.stderr
+
+    @pytest.mark.parametrize("obj, reason", [
+        ({"dim": 3, "re": [[1e308, 0, 0], [0, -1e308, 0], [0, 0, 1]]},
+         "positivity violated: smallest eigenvalue -1.000e+308 < "),
+        ({"dim": 2, "re": [[1e308, 0], [0, 1e308]]},
+         "unit trace violated: |Tr(M) - 1| = inf > "),
+        ({"dim": 2, "re": [[1, 0], [0, 0]], "im": [[1e308, 0], [0, 0]]},
+         "hermiticity violated: max |M - M^dag| = inf > "),
+    ], ids=["hermitian part", "trace", "hermiticity defect"])
+    def test_entry_near_the_largest_double_exits_3(self, tmp_path, obj, reason):
+        # each overflowed inside DensityMatrix: numpy warned, under -W error
+        # the run ended in a traceback, and the first was reported as
+        # "Eigenvalues did not converge"
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(obj))
+        res = run_cli("classify", "--input", str(f), env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: " + reason)
+        assert res.stderr.count("\n") == 1
+
+    def test_tolerance_not_small_against_one_over_n_exits_3(self, tmp_path):
+        # at --tol 1e308 this matrix passed all three checks, and its spectrum
+        # of +-1.4e308 overflowed the coherence radius and the purity
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"dim": 2, "re": [[1e308, 1e308], [1e308, -1e308]]}))
+        res = run_cli("classify", "--tol", "1e308", "--input", str(f),
+                      env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == "error: tolerance 1e+308 outside [0, 1/n) at n=2\n"
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_state_report(self, tmp_path, n):
@@ -288,6 +323,21 @@ class TestBloch:
         assert obj["physical"] is True
         back = np.array(obj["re"]) + 1j * np.array(obj["im"])
         assert np.abs(back - rho).max() <= 1e-10
+
+    @pytest.mark.parametrize("check", [[], ["--check"]], ids=["", "check"])
+    @pytest.mark.parametrize("n, comps", [
+        (3, [0.0] * 6 + [1.7e308] * 2),
+        (2, [1.7e308] * 3),
+    ], ids=["diagonal", "every component"])
+    def test_squared_length_past_the_largest_double_exits_3(self, tmp_path, capsys,
+                                                            n, comps, check):
+        # the first overflowed in the reconstruction, and the second's
+        # smallest eigenvalue was reported as -Infinity
+        f = write_vector(tmp_path / "v.json", n, comps)
+        assert cli.main(["bloch", "--to-matrix", *check, "--input", f]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: coherence vector has a non-finite component or squared length\n"
 
     def test_vector_dimension_65_exits_3(self, tmp_path):
         f = write_vector(tmp_path / "v.json", 65, [0.0] * (65 * 65 - 1))
@@ -683,3 +733,157 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+# --------------------------------------------------------------------------
+# Fuzz: hostile documents and flag values end in a documented exit.
+
+#: Placeholder for an integer literal of more than 4300 digits, which
+#: ``json.dumps`` cannot write; ``mutated_documents`` puts the literal in its place.
+LONG_LITERAL = "<4400 digits>"
+#: Numbers at the edges of a double and past them, the JSON constants
+#: Python's decoder accepts, and the over-long literal.
+EDGE_NUMBERS = [1e308, -1e308, 1.7976931348623157e308, 5e-324, 0, -0.0, 10 ** 400,
+                -10 ** 400, math.nan, math.inf, -math.inf, LONG_LITERAL]
+EDGE_OR_SMALL = st.sampled_from(EDGE_NUMBERS) | st.floats(-1.0, 1.0)
+HOSTILE_LEAVES = st.one_of(
+    st.sampled_from(EDGE_NUMBERS), st.floats(), st.integers(), st.none(), st.booleans(),
+    st.text(max_size=4))
+#: A leaf, or a small nested list or object of leaves.
+HOSTILE_VALUES = st.recursive(
+    HOSTILE_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=10)
+
+
+def same_shape(node):
+    """Values shaped like ``node``: every number of it an ``EDGE_OR_SMALL``
+    draw, so that several entries of one matrix or vector may be huge."""
+    if isinstance(node, list):
+        return st.tuples(*map(same_shape, node)).map(list)
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return EDGE_OR_SMALL
+    return st.just(node)
+
+
+#: Valid documents, each with the commands that read it.
+FUZZ_DOCUMENTS = [
+    (doc, [["classify"], ["bloch", "--to-vector"],
+           ["bloch", "--to-vector", "--check", "--convention", "bloch"]])
+    for doc in (PINNED_MATRIX, {"dim": 2, "re": [[0.75, 0.0], [0.0, 0.25]]},
+                {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]})
+] + [
+    (doc, [["bloch", "--to-matrix"], ["bloch", "--to-matrix", "--check"]])
+    for doc in (PINNED_VECTOR, {"dim": 3, "convention": "bloch", "components": [0.1] * 8})
+]
+#: The flags that take a number, per command the fuzz runs.
+FUZZ_FLAGS = {
+    "classify": ["--tol", "--cluster-tol"],
+    "bloch": ["--tol"],
+    "qutrit region": ["--a-steps"],
+    "qutrit fig2": ["--c2", "--a-steps"],
+    "qutrit fig3": ["--c2", "--a-steps"],
+    "qutrit fraction": ["--n", "--c2", "--samples", "--seed", "--tol"],
+}
+#: Zero, negative zero, huge, tiny, NaN and infinite flag values.  None is a
+#: usable huge --samples or --a-steps, which would run for that long.
+FLAG_VALUES = ["0", "-0.0", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf"]
+ENV_TOL = st.none() | st.sampled_from(FLAG_VALUES)
+
+
+def _paths(node, path=()):
+    """The path of every node under the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """``(text, argv)``: a valid document with one node replaced or deleted,
+    or one key renamed, as JSON text, and a command that reads it, with at
+    most one number flag from ``flag_values``."""
+    doc, commands = draw(st.sampled_from(FUZZ_DOCUMENTS))
+    doc = json.loads(json.dumps(doc))
+    *head, last = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    action = draw(st.sampled_from(["replace"] * 3 + ["delete"]
+                                  + ["rename"] * isinstance(parent, dict)))
+    if action == "replace":
+        parent[last] = draw(same_shape(parent[last]) | HOSTILE_VALUES)
+    elif action == "delete":
+        del parent[last]
+    else:
+        parent[draw(st.text(max_size=4))] = parent.pop(last)
+    text = json.dumps(doc).replace(json.dumps(LONG_LITERAL), "1" + "0" * 4400)
+    command = draw(st.sampled_from(commands))
+    return text, command + draw(flag_values(command[0], at_most=1))
+
+
+@st.composite
+def flag_values(draw, command, at_most=2):
+    """Some of ``command``'s number flags, each set to a ``FLAG_VALUES``
+    entry, as ``--flag=value`` words."""
+    chosen = draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True,
+                           max_size=at_most))
+    return [f"{flag}={draw(st.sampled_from(FLAG_VALUES))}" for flag in chosen]
+
+
+def run_main(argv, env_tol):
+    """``(code, stdout, stderr)`` of ``cli.main(argv)`` run in process, with
+    ORBIT_ATLAS_TOL set to ``env_tol``, or unset for None."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("ORBIT_ATLAS_TOL", None)
+        if env_tol is not None:
+            os.environ["ORBIT_ATLAS_TOL"] = env_tol
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code, out, err):
+    """Exit 0 with a silent stderr and, for a JSON report, no NaN or
+    Infinity in it; or exit 2 or 3 with exactly one ``error:`` line."""
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+        if out.startswith("{"):
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+    else:
+        assert sum("error: " in line for line in err.splitlines()) == 1, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(document=mutated_documents())
+def test_fuzzed_document_ends_in_a_documented_exit(fuzz_file, document):
+    text, argv = document
+    fuzz_file.write_text(text, encoding="utf-8")
+    assert_documented_exit(*run_main(argv + ["--input", str(fuzz_file)], None))
+
+
+#: ``(argv, FUZZ_FLAGS key, document)``: each command of ``FUZZ_DOCUMENTS``
+#: on its valid document, and each qutrit kind, which reads no file.
+FLAG_RUNS = ([(argv, argv[0], doc) for doc, commands in FUZZ_DOCUMENTS for argv in commands]
+             + [(key.split(), key, None) for key in FUZZ_FLAGS if key.startswith("qutrit")])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(run=st.sampled_from(FLAG_RUNS), data=st.data(), env_tol=ENV_TOL)
+def test_fuzzed_flag_values_end_in_a_documented_exit(fuzz_file, run, data, env_tol):
+    command, key, doc = run
+    argv = command + data.draw(flag_values(key))
+    if doc is not None:
+        fuzz_file.write_text(json.dumps(doc), encoding="utf-8")
+        argv += ["--input", str(fuzz_file)]
+    assert_documented_exit(*run_main(argv, env_tol))

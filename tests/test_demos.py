@@ -1,13 +1,15 @@
-"""Smoke test: README's quick-start block and the narrative demos run.
+"""README's quick-start block and the demos run.
 
 Each runs as a fresh process with ``src`` on PYTHONPATH and must exit 0.
-``demos/qutrit_region.py`` writes the golden CSVs and is covered by
-``test_golden_data.py`` instead.
+``demos/qutrit_region.py``, which writes the golden CSVs, runs from a copy
+in a temporary directory, and the ``output/`` it writes there must equal
+``demos/output/`` byte for byte.
 """
 
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -37,3 +39,13 @@ def test_readme_quick_start_runs():
 def test_demo_runs(demo):
     res = run_python([str(ROOT / "demos" / demo)])
     assert res.returncode == 0, res.stderr
+
+
+def test_region_demo_regenerates_the_golden_data(tmp_path):
+    shutil.copy(ROOT / "demos" / "qutrit_region.py", tmp_path)
+    res = run_python([str(tmp_path / "qutrit_region.py")])
+    assert res.returncode == 0, res.stderr
+    golden = sorted((ROOT / "demos" / "output").iterdir())
+    assert sorted(p.name for p in (tmp_path / "output").iterdir()) == [p.name for p in golden]
+    for path in golden:
+        assert (tmp_path / "output" / path.name).read_bytes() == path.read_bytes(), path.name

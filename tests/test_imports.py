@@ -43,6 +43,7 @@ NUMPY_FREE = [(["tables", str(n)], 0) for n in range(2, 9)] + [
     (["qutrit", "region", "--a-steps", "100001"], 3),
     (["qutrit", "fraction", "--n", "17"], 3),
     (["qutrit", "fraction", "--tol", "-1"], 3),
+    (["qutrit", "fraction", "--n", "3", "--tol", "0.5"], 3),
 ]
 
 
@@ -72,16 +73,15 @@ REEXPORTS = {
         LengthMismatch NoConvergence NotHermitian NotNormalized
         NotPositiveSemidefinite NotSquare NotUnitTrace OddDimension
         OrbitAtlasError ParameterOutOfRange ParseError ValidationError""",
-    "linalg": """DEFAULT_TOL DensityMatrix convex_path purity random_density_matrix
-        random_unitary trace_invariants unitarily_equivalent""",
+    "linalg": """DEFAULT_TOL DensityMatrix purity random_density_matrix
+        random_unitary unitarily_equivalent""",
     "orbits": """DEFAULT_CLUSTER_TOL MajorizationResult OrbitSignature OrbitTableRow
         StateClass enumerate_orbit_table entropy_of_spectrum flag_manifold_name
         majorize_compare orbit_dimension orbit_signature von_neumann_entropy""",
     "pauli": """Convention CoherenceVector convert_convention
         from_coherence_vector generate_basis is_physical_vector to_coherence_vector""",
-    "qutrit": """FeasibleInterval QutritRegionPoint RegionClass feasibility
-        feasible_interval fig2_curve fig3_curve qutrit_from_params
-        sphere_physical_fraction""",
+    "qutrit": """FeasibleInterval QutritRegionPoint RegionClass feasible_interval
+        fig2_curve fig3_curve qutrit_from_params sphere_physical_fraction""",
     "symplectic": """SpOrbitReport SpRule SpRuleKind Table2Row complex_to_quat
         has_sp_block_form is_symplectic quat_inner quat_mul quat_to_complex
         random_symplectic skew_form sp_orbit_bounds standard_J table2""",

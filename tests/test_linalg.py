@@ -22,10 +22,10 @@ from orbit_atlas import (
     ParameterOutOfRange,
     ValidationError,
     cli,
-    convex_path,
     enumerate_orbit_table,
     generate_basis,
     has_sp_block_form,
+    is_physical_vector,
     is_symplectic,
     majorize_compare,
     orbit_signature,
@@ -35,7 +35,6 @@ from orbit_atlas import (
     random_unitary,
     sphere_physical_fraction,
     standard_J,
-    trace_invariants,
     unitarily_equivalent,
 )
 from orbit_atlas import linalg
@@ -260,25 +259,38 @@ class TestPhysicalMask:
         assert mask.shape == (0,) and mask.dtype == bool
 
 
+def spectral_power_sums(rho):
+    """Tr(rho^r) for r = 1..n from the stored spectrum."""
+    w = rho.eigenvalues()
+    return np.array([np.sum(w ** r) for r in range(1, rho.dim + 1)])
+
+
+def matrix_power_traces(rho):
+    """Tr(rho^r) for r = 1..n by repeated matrix multiplication, no
+    eigenvalues involved."""
+    power = np.eye(rho.dim, dtype=complex)
+    expected = []
+    for _ in range(rho.dim):
+        power = power @ rho.matrix
+        expected.append(float(power.trace().real))
+    return np.array(expected)
+
+
 class TestTraceInvariants:
+    """The stored spectrum against traces of matrix powers."""
+
     def test_maximally_mixed_qubit(self):
         rho = DensityMatrix(np.eye(2) / 2)
-        assert np.allclose(trace_invariants(rho), [1.0, 0.5])
+        assert np.allclose(spectral_power_sums(rho), [1.0, 0.5])
 
     def test_pure_projector_powers(self):
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
-        assert np.allclose(trace_invariants(rho), [1.0, 1.0, 1.0])
+        assert np.allclose(spectral_power_sums(rho), [1.0, 1.0, 1.0])
 
     def test_against_matrix_powering_oracle(self):
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
-        got = trace_invariants(rho)
-        # oracle: repeated matrix multiplication, no eigenvalues involved
-        power = np.eye(3, dtype=complex)
-        expected = []
-        for _ in range(3):
-            power = power @ rho.matrix
-            expected.append(float(power.trace().real))
-        assert np.abs(got - np.array(expected)).max() <= 1e-12
+        got = spectral_power_sums(rho)
+        assert np.abs(got - matrix_power_traces(rho)).max() <= 1e-12
         assert abs(got[1] - 0.38) <= 1e-12
 
     def test_two_path_consistency_on_random_states(self):
@@ -286,13 +298,8 @@ class TestTraceInvariants:
         for n in (2, 3, 4, 6):
             for _ in range(10):
                 rho = random_density_matrix(n, rng)
-                got = trace_invariants(rho)
-                power = np.eye(n, dtype=complex)
-                expected = []
-                for _ in range(n):
-                    power = power @ rho.matrix
-                    expected.append(float(power.trace().real))
-                assert np.abs(got - np.array(expected)).max() <= 1e-9
+                got = spectral_power_sums(rho)
+                assert np.abs(got - matrix_power_traces(rho)).max() <= 1e-9
 
 
 class TestUnitaryEquivalence:
@@ -337,24 +344,13 @@ class TestUnitaryEquivalence:
 
 
 class TestConvexPath:
-    def test_endpoints(self):
-        rho1 = DensityMatrix(np.diag([1.0, 0.0]))
-        rho2 = DensityMatrix(np.diag([0.0, 1.0]))
-        assert np.allclose(convex_path(rho1, rho2, 0.0).matrix, rho1.matrix)
-        assert np.allclose(convex_path(rho1, rho2, 1.0).matrix, rho2.matrix)
+    """The state space is convex: DensityMatrix admits (1 - t) rho1 + t rho2."""
 
     def test_midpoint_of_orthogonal_pure_states(self):
         rho1 = DensityMatrix(np.diag([1.0, 0.0]))
         rho2 = DensityMatrix(np.diag([0.0, 1.0]))
-        mid = convex_path(rho1, rho2, 0.5)
+        mid = DensityMatrix(0.5 * rho1.matrix + 0.5 * rho2.matrix)
         assert np.allclose(mid.matrix, np.eye(2) / 2)
-
-    def test_parameter_out_of_range(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ParameterOutOfRange):
-            convex_path(rho, rho, 1.5)
-        with pytest.raises(ParameterOutOfRange):
-            convex_path(rho, rho, -0.1)
 
     def test_path_stays_valid(self):
         rng = np.random.default_rng(31)
@@ -362,7 +358,8 @@ class TestConvexPath:
             rho1 = random_density_matrix(4, rng)
             rho2 = random_density_matrix(4, rng)
             for t in np.linspace(0.0, 1.0, 11):
-                convex_path(rho1, rho2, float(t))  # validates on construction
+                # validates on construction
+                DensityMatrix((1.0 - t) * rho1.matrix + t * rho2.matrix)
 
 
 #: Entry points that take a comparison tolerance, each called with one.  With
@@ -386,6 +383,31 @@ TOLERANCE_TAKERS = {
 def test_bad_tolerance_is_refused(name, tol):
     with pytest.raises(ParameterOutOfRange, match="finite and nonnegative"):
         TOLERANCE_TAKERS[name](tol)
+
+
+#: Entry points whose tolerance sets the positivity slack tol * n, each
+#: called at n = 2 on a state.
+STATE_TOLERANCE_TAKERS = {
+    "DensityMatrix": lambda tol: DensityMatrix(np.eye(2) / 2, tol=tol),
+    "positivity_test": lambda tol: positivity_test(np.eye(2) / 2, tol),
+    "physical_mask": lambda tol: physical_mask(np.eye(2)[None] / 2, tol),
+    "is_physical_vector": lambda tol: is_physical_vector(
+        CoherenceVector(2, [0.0, 0.0, 0.5]), tol),
+    "sphere_physical_fraction": lambda tol: sphere_physical_fraction(
+        2, 0.75, 10, seed=0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_TOLERANCE_TAKERS))
+def test_tolerance_not_below_one_over_n_is_refused(name):
+    # at a slack tol * n of 1, diag(2, -1) would pass as a qubit state; at
+    # 1e308 every finite Hermitian matrix would, and its spectrum could
+    # overflow the coherence radius and the purity
+    call = STATE_TOLERANCE_TAKERS[name]
+    for tol in (0.5, 1e308):
+        with pytest.raises(ParameterOutOfRange, match=r"outside \[0, 1/n\) at n=2"):
+            call(tol)
+    call(np.nextafter(0.5, 0.0))
 
 
 #: Calls with a bad integer parameter, each with the error it must raise:

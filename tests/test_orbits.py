@@ -47,7 +47,7 @@ class TestOrbitSignature:
 
     def test_maximally_mixed_qutrit(self):
         sig = orbit_signature(diag_state(1 / 3, 1 / 3, 1 / 3))
-        assert sig.num_distinct == 1
+        assert len(sig.distinct_values) == 1
         assert sig.multiplicities == (3,)
         assert sig.state_class is StateClass.COMPLETELY_RANDOM
 

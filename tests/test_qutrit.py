@@ -15,7 +15,6 @@ from orbit_atlas import (
     ParameterOutOfRange,
     RegionClass,
     StateClass,
-    feasibility,
     feasible_interval,
     fig2_curve,
     fig3_curve,
@@ -42,13 +41,13 @@ from orbit_atlas.qutrit import (
     BOUNDARY_TOL,
     K2_SNAP,
     QutritRegionPoint,
-    REGION_CURVES,
+    _CLASS_ORDER,
     _mc_chunk,
+    _region_code_rows,
     dashdot_curve,
     dashed_curve,
     default_region_grid_axes,
     hermitian_a_grid,
-    region_rows,
     solid_curve,
 )
 
@@ -120,23 +119,23 @@ class TestFromParams:
 class TestFeasibility:
     def test_non_hermitian(self):
         # 3a^2-2a+1 = 1.63 > 2*0.6
-        assert feasibility(0.9, 0.6) is RegionClass.NON_HERMITIAN
+        assert qutrit_from_params(0.9, 0.6).classification is RegionClass.NON_HERMITIAN
 
     def test_non_positive(self):
         # 2a^2-2a+1 = 0.68 < 0.9
-        assert feasibility(0.2, 0.9) is RegionClass.NON_POSITIVE
+        assert qutrit_from_params(0.2, 0.9).classification is RegionClass.NON_POSITIVE
 
     def test_unique_orbit(self):
-        assert feasibility(0.5, 0.4) is RegionClass.UNIQUE_ORBIT
+        assert qutrit_from_params(0.5, 0.4).classification is RegionClass.UNIQUE_ORBIT
 
     def test_physical_duplicate(self):
         # Hermitian and positive at c2 < 1/2 but fails the ordering inequality
-        assert feasibility(0.4, 0.45) is RegionClass.PHYSICAL_DUPLICATE
+        assert qutrit_from_params(0.4, 0.45).classification is RegionClass.PHYSICAL_DUPLICATE
 
     def test_solid_boundary_is_degenerate_pair(self):
         c2 = 0.7
         a = (1.0 + math.sqrt(6 * c2 - 2)) / 3.0
-        assert feasibility(a, c2) is RegionClass.BOUNDARY_PSEUDO_PURE_SOLID
+        assert qutrit_from_params(a, c2).classification is RegionClass.BOUNDARY_PSEUDO_PURE_SOLID
         p = qutrit_from_params(a, c2)
         sig = orbit_signature(DensityMatrix(np.diag([p.a, p.b, p.c])))
         assert sig.state_class is StateClass.PSEUDO_PURE
@@ -144,7 +143,7 @@ class TestFeasibility:
     def test_dashdot_boundary_is_degenerate_pair(self):
         c2 = 0.45
         a = (2.0 + math.sqrt(6 * c2 - 2)) / 6.0  # root of 6a^2-4a+1 = c2
-        assert feasibility(a, c2) is RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT
+        assert qutrit_from_params(a, c2).classification is RegionClass.BOUNDARY_PSEUDO_PURE_DASH_DOT
         p = qutrit_from_params(a, c2)
         assert abs(p.a - p.b) <= 1e-10
         sig = orbit_signature(DensityMatrix(np.diag([p.a, p.b, p.c])))
@@ -191,16 +190,23 @@ class TestFeasibleInterval:
             feasible_interval(0.2)
 
 
+def region_classes(c2_values, a_values):
+    """``(c2, classes)`` per c2 row of ``_region_code_rows``' grid, in order,
+    ``classes`` listing the RegionClass of every a-value of the row."""
+    _, rows = _region_code_rows(c2_values, a_values)
+    return [(c2, [_CLASS_ORDER[k] for k in codes.tolist()]) for c2, codes in rows]
+
+
 def grid_classes(c2_values, a_values):
-    """``(a, c2, class)`` per point of ``region_rows``' grid, c2-major."""
+    """``(a, c2, class)`` per point of ``_region_code_rows``' grid, c2-major."""
     a_list = np.asarray(a_values, dtype=float).tolist()
-    return [(a, c2, k) for c2, classes in region_rows(c2_values, a_values)
+    return [(a, c2, k) for c2, classes in region_classes(c2_values, a_values)
             for a, k in zip(a_list, classes)]
 
 
 class TestRegionGrid:
     def test_center_is_unique_orbit(self):
-        ((_, classes),) = region_rows([1 / 3], [1 / 3])
+        ((_, classes),) = region_classes([1 / 3], [1 / 3])
         assert classes[0] is RegionClass.UNIQUE_ORBIT
 
     def test_unique_records_lie_in_feasible_interval(self):
@@ -213,13 +219,14 @@ class TestRegionGrid:
 
     def test_no_non_positive_below_half_purity(self):
         _, a_grid = default_region_grid_axes()
-        ((_, classes),) = region_rows([0.45], a_grid)
+        ((_, classes),) = region_classes([0.45], a_grid)
         assert all(k is not RegionClass.NON_POSITIVE for k in classes)
 
     def test_curve_columns(self):
-        ((c2, classes),) = region_rows([0.5], [0.4])
-        assert (c2, len(classes)) == (0.5, 1)
-        curve1, curve2, curve3 = (curve(0.4) for curve in REGION_CURVES)
+        curves, rows = _region_code_rows([0.5], [0.4])
+        ((c2, codes),) = rows
+        assert (c2, len(codes), curves.shape) == (0.5, 1, (1, 3))
+        curve1, curve2, curve3 = curves[0]
         assert curve1 == pytest.approx(3 * 0.16 - 0.8 + 1)
         assert curve2 == pytest.approx(2 * 0.16 - 0.8 + 1)
         assert curve3 == pytest.approx(6 * 0.16 - 1.6 + 1)
@@ -391,7 +398,7 @@ class TestKernelAgainstReference:
     @pytest.mark.parametrize("c2", KERNEL_C2)
     def test_scalar_entry_points(self, c2):
         for a in special_a_values(c2) + np.linspace(0.0, 1.0, 41).tolist():
-            assert feasibility(a, c2) is ref_feasibility(a, c2)
+            assert qutrit_from_params(a, c2).classification is ref_feasibility(a, c2)
             assert bits([qutrit_from_params(a, c2)]) == bits([ref_from_params(a, c2)])
 
     @pytest.mark.parametrize("c2", [1.0 / 3.0, 1.0 / 3.0 + 5e-11])
@@ -517,7 +524,7 @@ class TestFeasibilityAgreesWithInterval:
         boundary class.  Outside it by more than the margin: never
         UniqueOrbit."""
         a, c2, iv = point
-        found = feasibility(a, c2)
+        found = qutrit_from_params(a, c2).classification
         if iv.a_lo + INTERVAL_MARGIN < a < iv.a_hi - INTERVAL_MARGIN:
             assert found in (RegionClass.UNIQUE_ORBIT,
                              RegionClass.BOUNDARY_PSEUDO_PURE_SOLID,
@@ -541,12 +548,10 @@ class TestDomainSurvivesVectorisation:
     ])
     def test_region_grid_rejects_points_outside_the_domain(self, c2_values, a_values):
         with pytest.raises(ParameterOutOfRange):
-            region_rows(c2_values, a_values)
+            _region_code_rows(c2_values, a_values)
 
     @pytest.mark.parametrize("a, c2", [(math.nan, 0.5), (0.5, math.nan)])
     def test_scalar_entry_points_reject_nan(self, a, c2):
-        with pytest.raises(ParameterOutOfRange):
-            feasibility(a, c2)
         with pytest.raises(ParameterOutOfRange):
             qutrit_from_params(a, c2)
 
